@@ -7,14 +7,12 @@ from repro.analysis.engine import (
     configure,
     get_engine,
 )
-from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.metrics import CacheMetricsRow, aggregate_cache_metrics
 from repro.analysis.report import ExperimentResult, render, render_all
 from repro.analysis.sweeps import ipc_curve, load_traces, run_config, sweep
 
 __all__ = [
     "CacheMetricsRow",
-    "EXPERIMENTS",
     "ExperimentEngine",
     "ExperimentResult",
     "JobFailure",

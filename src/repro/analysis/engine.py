@@ -30,15 +30,12 @@ of ``(MachineConfig, trace)`` pairs. This module owns that execution:
   (:func:`repro.testing.oracle.validate_stats`) and a serialization
   round-trip *before* it is returned or written to the result cache,
   so a half-unwound worker can never publish a corrupted result.
-* **Checkpoint/resume** — runs append ``checkpoint`` records
-  (``start`` / ``interrupted`` / ``complete``) to the manifest, and
-  per-job records are written as jobs finish, so a sweep killed by
-  SIGINT or a crash leaves a resumable trail: re-running the same
-  sweep re-executes only the jobs whose results are not yet in the
-  content-addressed cache. With ``REPRO_RESUME`` armed the engine also
-  counts how many cache hits correspond to jobs completed by an
-  earlier (interrupted) run — ``counters.resumed`` — so tests and
-  operators can verify that only the missing jobs re-ran.
+* **Rerun skips finished work** — each result is cached and its
+  per-job manifest record written as the job finishes, so re-running a
+  sweep killed by SIGINT or a crash re-executes only the jobs whose
+  results are not yet in the content-addressed cache (the rerun's
+  ``cache_hits``/``executed`` counters and ``cached`` job records show
+  which).
 * **Graceful degradation** — with ``raise_on_error=False`` a sweep
   with failed jobs returns partial results whose failed slots hold
   falsy :class:`JobFailure` records (explicit holes), and every
@@ -49,8 +46,8 @@ of ``(MachineConfig, trace)`` pairs. This module owns that execution:
   first captured failure re-raises as
   :class:`~repro.errors.EngineError`.
 * **Observability** — the engine counts jobs, cache hits/misses,
-  retries, timeouts, resumed jobs, and per-job wall-clock (including
-  p50/p95); it logs live progress through :mod:`repro.obs.log`; and
+  retries, timeouts, and per-job wall-clock (including p50/p95); it
+  logs live progress through :mod:`repro.obs.log`; and
   every run appends per-job records — job identity, config hash, trace
   provenance, cache hit/miss, wall-clock, worker pid, failure
   traceback — to a JSONL manifest under the cache directory
@@ -69,12 +66,6 @@ Environment knobs (read when the shared engine is created):
   (``0``/unset = fail fast, preserving historical behavior).
 * ``REPRO_RETRY_BACKOFF`` — base delay in seconds between retry
   rounds; round *n* waits ``backoff * 2**(n-1)`` (default 0.05).
-* ``REPRO_RESUME`` — arm resume accounting: cache hits whose job keys
-  appear as completed in the manifest count as ``resumed``.
-* ``REPRO_SWEEP_BATCH`` — ``0`` disables shared-frontend batching:
-  jobs that differ only in register-storage configuration normally run
-  as one group per worker, sharing a single trace decode,
-  ``trace.analysis()`` pass, and precomputed branch-prediction plan.
 * ``REPRO_FAULTS`` — arm the deterministic fault-injection plan (see
   :mod:`repro.testing.faults`); inert unless set.
 * ``REPRO_MANIFEST`` — ``0`` disables run manifests; a path overrides
@@ -106,16 +97,10 @@ from pathlib import Path
 
 from repro.core.config import MachineConfig
 from repro.core.pipeline import Pipeline
-from repro.frontend.fetch import branch_plan_for
 from repro.core.stats import STATS_SCHEMA_VERSION, SimStats
 from repro.errors import EngineError, JobTimeoutError
 from repro.obs.log import ProgressReporter, get_logger
-from repro.obs.manifest import (
-    ManifestWriter,
-    completed_job_keys,
-    manifest_path_for,
-    read_manifest,
-)
+from repro.obs.manifest import ManifestWriter, manifest_path_for
 from repro.obs.metrics import Histogram, get_metrics
 from repro.testing import faults, oracle
 from repro.vm.trace import Trace
@@ -286,8 +271,6 @@ def _execute_job(
     attempt: int = 0,
     timeout: float = 0.0,
     allow_crash: bool = False,
-    trace: Trace | None = None,
-    branch_plan: list[int] | None = None,
 ) -> tuple[str, object, float, int | None]:
     """Run one job; never raises (worker-side error capture).
 
@@ -303,10 +286,7 @@ def _execute_job(
     With *timeout* > 0 a ``SIGALRM`` one-shot timer bounds the job's
     wall clock; *allow_crash* lets the ``crash`` fault site call
     ``os._exit`` (pool workers only — in-process execution raises
-    instead, so the host survives). *trace* and *branch_plan* let a
-    batch (:func:`_execute_batch`) hand every member the shared
-    pre-resolved trace and branch-prediction plan; both are
-    timing-neutral (the plan replays the predictors' own decisions).
+    instead, so the host survives).
     """
     start = time.perf_counter()
     pid = os.getpid()
@@ -321,14 +301,7 @@ def _execute_job(
                 armed = True
             faults.crash_point(identity, attempt, allow_exit=allow_crash)
             faults.hang_point(identity, attempt)
-            if trace is None:
-                trace = job.resolve_trace()
-            if branch_plan is not None:
-                stats = Pipeline(
-                    trace, job.config, branch_plan=branch_plan,
-                ).run()
-            else:
-                stats = Pipeline(trace, job.config).run()
+            stats = Pipeline(job.resolve_trace(), job.config).run()
             if faults.fire("bad_stats", identity, attempt):
                 stats.retired = -stats.retired - 1
             return ("ok", stats, time.perf_counter() - start, pid)
@@ -353,43 +326,6 @@ def _execute_job(
         )
 
 
-def _execute_batch(
-    jobs: Sequence[SimJob],
-    attempts: Sequence[int],
-    timeout: float = 0.0,
-    allow_crash: bool = False,
-) -> list[tuple[str, object, float, int | None]]:
-    """Run a shared-frontend batch of jobs in this process.
-
-    All members reference the same trace and agree on every non-storage
-    configuration field (:meth:`MachineConfig.frontend_key`), so the
-    trace is resolved once and the branch-prediction plan
-    (:func:`repro.frontend.fetch.branch_plan_for`) is computed once;
-    each member then simulates with its own storage scheme. Failures
-    are captured per member — a bad trace fails every member with the
-    same traceback, a bad simulation fails only its own slot. Runs in
-    worker processes; must stay module-level (picklable by reference).
-    """
-    trace = None
-    plan = None
-    setup_error: str | None = None
-    try:
-        trace = jobs[0].resolve_trace()
-        plan = branch_plan_for(trace)
-    except Exception:
-        setup_error = traceback.format_exc()
-    outcomes = []
-    for job, attempt in zip(jobs, attempts):
-        if setup_error is not None:
-            outcomes.append(("error", setup_error, 0.0, os.getpid()))
-            continue
-        outcomes.append(_execute_job(
-            job, attempt, timeout, allow_crash,
-            trace=trace, branch_plan=plan,
-        ))
-    return outcomes
-
-
 # ----------------------------------------------------------------------
 # Observability counters.
 
@@ -410,7 +346,6 @@ class EngineCounters:
     errors: int = 0
     retries: int = 0
     timeouts: int = 0
-    resumed: int = 0
     parallel_jobs: int = 0
     serial_fallbacks: int = 0
     job_seconds: float = 0.0
@@ -440,7 +375,6 @@ class EngineCounters:
             "errors": self.errors,
             "retries": self.retries,
             "timeouts": self.timeouts,
-            "resumed": self.resumed,
             "parallel_jobs": self.parallel_jobs,
             "serial_fallbacks": self.serial_fallbacks,
             "job_seconds": round(self.job_seconds, 6),
@@ -494,16 +428,6 @@ class ExperimentEngine:
         retry_backoff: base delay between retry rounds; ``None`` reads
             ``REPRO_RETRY_BACKOFF`` (default 0.05s, doubling per round,
             capped at :data:`MAX_RETRY_BACKOFF`).
-        resume: count cache hits recorded as completed in the manifest
-            as resumed jobs; ``None`` reads ``REPRO_RESUME``.
-        batching: share one trace decode, ``trace.analysis()`` pass,
-            and branch-prediction plan across jobs that differ only in
-            register-storage configuration (equal
-            :meth:`MachineConfig.frontend_key` on the same trace) by
-            running each such group on one worker; ``None`` reads
-            ``REPRO_SWEEP_BATCH`` (default on). Automatically disabled
-            while fault injection is armed so the fault plan's per-job
-            crash/hang sites keep their one-job blast radius.
     """
 
     def __init__(
@@ -514,8 +438,6 @@ class ExperimentEngine:
         job_timeout: float | None = None,
         retries: int | None = None,
         retry_backoff: float | None = None,
-        resume: bool | None = None,
-        batching: bool | None = None,
     ) -> None:
         if workers is None:
             workers = _parse_jobs(os.environ.get("REPRO_JOBS"))
@@ -543,16 +465,6 @@ class ExperimentEngine:
                 os.environ.get("REPRO_RETRY_BACKOFF"), 0.05,
             )
         self.retry_backoff = max(0.0, retry_backoff)
-        if resume is None:
-            resume = os.environ.get("REPRO_RESUME", "").lower() in (
-                "1", "true", "on", "yes",
-            )
-        self.resume = bool(resume)
-        if batching is None:
-            batching = os.environ.get(
-                "REPRO_SWEEP_BATCH", "1",
-            ).lower() not in ("0", "false", "off")
-        self.batching = bool(batching)
         self.counters = EngineCounters()
         #: Every JobFailure this engine has returned (graceful-degradation
         #: consumers read the tail to report holes).
@@ -577,10 +489,10 @@ class ExperimentEngine:
         Cached results are loaded without simulating; the remainder run
         serially or across a process pool, with per-job timeouts and
         bounded retries when configured. Results and manifest records
-        are published incrementally as jobs finish, so an interrupted
-        run leaves a resumable trail (re-running skips everything
-        already cached). With ``raise_on_error`` (the default) the
-        first captured failure re-raises as :class:`EngineError`;
+        are published incrementally as jobs finish, so re-running an
+        interrupted sweep skips everything already cached. With
+        ``raise_on_error`` (the default) the first captured failure
+        re-raises as :class:`EngineError`;
         otherwise failed slots hold falsy :class:`JobFailure` records
         and the sweep degrades to partial results.
         """
@@ -593,13 +505,7 @@ class ExperimentEngine:
         keys = [job.cache_key() if job.cacheable else None for job in jobs]
         sweep = _sweep_key(keys)
 
-        resumable: frozenset[str] = frozenset()
-        if self.resume and self.manifest is not None:
-            resumable = completed_job_keys(
-                read_manifest(self.manifest.path),
-            )
-
-        prelude: list[dict] = []
+        cached_records: list[dict] = []
         pending: list[int] = []
         for index, job in enumerate(jobs):
             key = keys[index]
@@ -607,11 +513,9 @@ class ExperimentEngine:
                 cached = self._cache_load(job, key=key)
                 if cached is not None:
                     counters.cache_hits += 1
-                    if key in resumable:
-                        counters.resumed += 1
                     results[index] = cached
                     if self.manifest is not None:
-                        prelude.append(
+                        cached_records.append(
                             self._manifest_record(
                                 run_id, sweep, job, key, cached=True,
                                 status="ok", wall=0.0, worker=None,
@@ -624,17 +528,12 @@ class ExperimentEngine:
         workers = self._resolve_workers(workers, len(pending)) if pending \
             else 0
         _log.info(
-            "run %s: %d jobs (%d cached, %d resumed, %d to execute, "
-            "%d workers)",
-            run_id, len(jobs), len(jobs) - len(pending),
-            counters.resumed, len(pending), workers,
+            "run %s: %d jobs (%d cached, %d to execute, %d workers)",
+            run_id, len(jobs), len(jobs) - len(pending), len(pending),
+            workers,
         )
-        if self.manifest is not None and jobs:
-            prelude.append(self._checkpoint_record(
-                run_id, sweep, "start", jobs=len(jobs),
-                cached=len(jobs) - len(pending), pending=len(pending),
-            ))
-            self.manifest.append_all(prelude)
+        if cached_records:
+            self.manifest.append_all(cached_records)
 
         failures: list[JobFailure] = []
         run_wall = 0.0
@@ -686,16 +585,7 @@ class ExperimentEngine:
                             )
                         )
             except BaseException:
-                # SIGINT / crash mid-sweep: record where we got to so a
-                # resumed run can prove it only re-ran the missing jobs.
                 counters.engine_seconds += time.perf_counter() - start
-                if self.manifest is not None:
-                    self.manifest.append(self._checkpoint_record(
-                        run_id, sweep, "interrupted", jobs=len(jobs),
-                        done=sum(
-                            1 for slot in results if slot is not None
-                        ),
-                    ))
                 raise
             trace_delta = trace_counters().since(trace_before)
             counters.traces_generated += int(trace_delta["traces_generated"])
@@ -710,23 +600,17 @@ class ExperimentEngine:
         engine_wall = time.perf_counter() - start
         counters.engine_seconds += engine_wall
         if self.manifest is not None and jobs:
-            self.manifest.append_all([
-                {
-                    "kind": "run",
-                    "run": run_id,
-                    "ts": round(time.time(), 3),
-                    "jobs": len(jobs),
-                    "cached": len(jobs) - len(pending),
-                    "executed": len(pending),
-                    "errors": len(failures),
-                    "workers": self.workers,
-                    "engine_seconds": round(engine_wall, 6),
-                },
-                self._checkpoint_record(
-                    run_id, sweep, "complete", jobs=len(jobs),
-                    errors=len(failures),
-                ),
-            ])
+            self.manifest.append({
+                "kind": "run",
+                "run": run_id,
+                "ts": round(time.time(), 3),
+                "jobs": len(jobs),
+                "cached": len(jobs) - len(pending),
+                "executed": len(pending),
+                "errors": len(failures),
+                "workers": self.workers,
+                "engine_seconds": round(engine_wall, 6),
+            })
         self._publish_metrics(
             len(jobs), len(pending), len(failures), run_wall,
         )
@@ -771,20 +655,6 @@ class ExperimentEngine:
         }
         if error is not None:
             record["error"] = error
-        return record
-
-    def _checkpoint_record(
-        self, run_id: str, sweep: str, event: str, **extra,
-    ) -> dict:
-        record = {
-            "kind": "checkpoint",
-            "run": run_id,
-            "sweep": sweep,
-            "event": event,
-            "ts": round(time.time(), 3),
-            "workers": self.workers,
-        }
-        record.update(extra)
         return record
 
     def _publish_metrics(
@@ -873,7 +743,7 @@ class ExperimentEngine:
         poisoned pool costs one round), up to :attr:`retries` extra
         attempts with exponential backoff between rounds. Outcomes are
         yielded as soon as they are final, so the caller can cache and
-        checkpoint incrementally.
+        record them incrementally.
         """
         counters = self.counters
         remaining = list(range(len(jobs)))
@@ -946,9 +816,9 @@ class ExperimentEngine:
     ) -> Iterator[tuple[int, tuple[str, object, float, int | None]]]:
         """Yield ``(local_index, outcome)`` as this round's jobs finish.
 
-        Streaming (rather than returning the round as a batch) is what
-        makes a mid-round interrupt resumable: every finished job has
-        already been folded into results, cache, and manifest by the
+        Streaming (rather than returning the round as a whole) is what
+        lets a mid-round interrupt keep finished work: every finished job
+        has already been folded into results, cache, and manifest by the
         consumer. If the parallel path dies after partially yielding,
         only the jobs it never reported are re-run serially.
         """
@@ -972,63 +842,12 @@ class ExperimentEngine:
         ):
             yield pending[local], outcome
 
-    def _batching_active(self) -> bool:
-        """Shared-frontend batching, unless fault injection is armed."""
-        return self.batching and not faults.enabled()
-
-    @staticmethod
-    def _batch_groups(jobs: Sequence[SimJob]) -> list[list[int]]:
-        """Partition job indices into shared-frontend groups.
-
-        Jobs land in one group when they reference the same trace and
-        their configurations agree on every non-storage field
-        (:meth:`MachineConfig.frontend_key`) — the precondition for
-        sharing a resolved trace and branch plan. Group order follows
-        first appearance, members keep submission order, and a group of
-        one degenerates to the plain per-job path.
-        """
-        groups: dict[object, list[int]] = {}
-        for index, job in enumerate(jobs):
-            if job.trace is not None:
-                tkey: tuple = ("obj", id(job.trace))
-            else:
-                tkey = ("name", job.trace_name, float(job.scale), job.seed)
-            key = (tkey, job.config.frontend_key())
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [index]
-            else:
-                bucket.append(index)
-        return list(groups.values())
-
     def _round_serial(
         self,
         jobs: Sequence[SimJob],
         attempts: Sequence[int],
         progress: ProgressReporter | None = None,
     ) -> Iterator[tuple[int, tuple[str, object, float, int | None]]]:
-        if self._batching_active():
-            for group in self._batch_groups(jobs):
-                if len(group) == 1:
-                    index = group[0]
-                    outcome = _execute_job(
-                        jobs[index], attempts[index], self.job_timeout,
-                        False,
-                    )
-                    if progress is not None:
-                        progress.update()
-                    yield index, outcome
-                    continue
-                outcomes = _execute_batch(
-                    [jobs[i] for i in group],
-                    [attempts[i] for i in group],
-                    self.job_timeout, False,
-                )
-                for index, outcome in zip(group, outcomes):
-                    if progress is not None:
-                        progress.update()
-                    yield index, outcome
-            return
         for index, (job, attempt) in enumerate(zip(jobs, attempts)):
             if faults.enabled():
                 faults.interrupt_point(job.fault_identity(), attempt)
@@ -1046,74 +865,50 @@ class ExperimentEngine:
     ) -> Iterator[tuple[int, tuple[str, object, float, int | None]]]:
         reported: set[int] = set()
         timeout = self.job_timeout
-        if self._batching_active():
-            groups = self._batch_groups(jobs)
-        else:
-            groups = [[i] for i in range(len(jobs))]
         # Engine-side watchdog backstop for workers so far gone that
         # their own SIGALRM cannot fire: enough wall clock for every
-        # queued job to use its full budget, plus slack. A batched
-        # submission unit holds up to max_group member jobs, each with
-        # its own SIGALRM budget, so the bound scales accordingly.
+        # queued job to use its full budget, plus slack.
         watchdog = None
         if timeout > 0:
-            waves = -(-len(groups) // workers)
-            max_group = max(len(group) for group in groups)
-            watchdog = timeout * (waves * max_group + 1) + 5.0
+            waves = -(-len(jobs) // workers)
+            watchdog = timeout * (waves + 1) + 5.0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for group in groups:
-                if len(group) == 1:
-                    index = group[0]
-                    future = pool.submit(
-                        _execute_job, jobs[index], attempts[index],
-                        timeout, True,
-                    )
-                else:
-                    future = pool.submit(
-                        _execute_batch,
-                        [jobs[i] for i in group],
-                        [attempts[i] for i in group],
-                        timeout, True,
-                    )
-                futures[future] = group
+            futures = {
+                pool.submit(_execute_job, job, attempt, timeout, True): i
+                for i, (job, attempt) in enumerate(zip(jobs, attempts))
+            }
             try:
                 # Yield in completion order so progress (and its ETA)
                 # is live; the caller re-maps indices.
                 for future in as_completed(futures, timeout=watchdog):
-                    group = futures[future]
+                    index = futures[future]
                     try:
-                        result = future.result()
-                        outcomes = (
-                            [result] if len(group) == 1 else list(result)
-                        )
+                        outcome = future.result()
                     except Exception:
                         # BrokenProcessPool and friends: the worker died
-                        # (e.g. an injected os._exit). Captured per
-                        # member; the retry round gets a fresh pool.
-                        outcomes = [
-                            ("crash", traceback.format_exc(), 0.0, None)
-                        ] * len(group)
-                    for index, outcome in zip(group, outcomes):
-                        if progress is not None:
-                            progress.update()
-                        reported.add(index)
-                        self.counters.parallel_jobs += 1
-                        yield index, outcome
+                        # (e.g. an injected os._exit). Captured per job;
+                        # the retry round gets a fresh pool.
+                        outcome = (
+                            "crash", traceback.format_exc(), 0.0, None,
+                        )
+                    if progress is not None:
+                        progress.update()
+                    reported.add(index)
+                    self.counters.parallel_jobs += 1
+                    yield index, outcome
             except FuturesTimeout:
                 self._terminate_pool(pool)
-                for future, group in futures.items():
-                    future.cancel()
-                    for index in group:
-                        if index not in reported:
-                            reported.add(index)
-                            self.counters.parallel_jobs += 1
-                            yield index, (
-                                "timeout",
-                                f"no result within the {watchdog:.1f}s "
-                                "watchdog; worker terminated",
-                                0.0, None,
-                            )
+                for future, index in futures.items():
+                    if index not in reported:
+                        future.cancel()
+                        reported.add(index)
+                        self.counters.parallel_jobs += 1
+                        yield index, (
+                            "timeout",
+                            f"no result within the {watchdog:.1f}s "
+                            "watchdog; worker terminated",
+                            0.0, None,
+                        )
 
     @staticmethod
     def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -1235,8 +1030,6 @@ def configure(
     job_timeout: float | None = None,
     retries: int | None = None,
     retry_backoff: float | None = None,
-    resume: bool | None = None,
-    batching: bool | None = None,
 ) -> ExperimentEngine:
     """Replace the shared engine (tests, benchmarks, notebooks).
 
@@ -1247,6 +1040,6 @@ def configure(
     _shared_engine = ExperimentEngine(
         workers=workers, cache_dir=cache_dir, use_cache=use_cache,
         job_timeout=job_timeout, retries=retries,
-        retry_backoff=retry_backoff, resume=resume, batching=batching,
+        retry_backoff=retry_backoff,
     )
     return _shared_engine

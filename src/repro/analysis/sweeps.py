@@ -4,11 +4,7 @@ All sweeps route through the :mod:`repro.analysis.engine` experiment
 engine: each ``(config, trace)`` pair becomes one :class:`SimJob`, the
 whole grid is submitted in a single batch (so parallel workers see the
 full fan-out, not one trace at a time), and previously simulated pairs
-are served from the engine's content-addressed result cache. Grids are
-submitted trace-major: all configurations of one trace are adjacent, so
-the engine's shared-frontend batching (``REPRO_SWEEP_BATCH``) groups
-them onto one worker where they share a single trace decode,
-``trace.analysis()`` pass, and branch-prediction plan.
+are served from the engine's content-addressed result cache.
 
 Sweeps degrade gracefully: a failed job leaves an explicit hole — a
 falsy :class:`~repro.analysis.engine.JobFailure` in that result slot —
@@ -73,22 +69,17 @@ def sweep(
     """
     engine = engine or get_engine()
     names = list(traces)
-    config_list = list(configs.values())
-    # Trace-major submission keeps each trace's configurations adjacent
-    # — exactly the engine's shared-frontend batch groups.
     jobs = [
         SimJob.for_trace(traces[name], config, label=name)
+        for config in configs.values()
         for name in names
-        for config in config_list
     ]
     stats = engine.run(jobs, raise_on_error=False)
-    num_configs = len(config_list)
+    per_trace = len(names)
     out: dict[str, dict[str, SimStats | JobFailure]] = {}
     for row, label in enumerate(configs):
-        out[label] = {
-            name: stats[col * num_configs + row]
-            for col, name in enumerate(names)
-        }
+        chunk = stats[row * per_trace:(row + 1) * per_trace]
+        out[label] = dict(zip(names, chunk))
     return out
 
 
@@ -113,21 +104,15 @@ def ipc_curve(
     engine = engine or get_engine()
     points = list(points)
     names = list(traces)
-    # Trace-major, like sweep(): when config_for only varies storage
-    # parameters (cache size, backing latency, policies — the usual
-    # sweep axes), every point of one trace shares a frontend batch.
     jobs = [
         SimJob.for_trace(traces[name], config_for(point), label=name)
-        for name in names
         for point in points
+        for name in names
     ]
     stats = engine.run(jobs, raise_on_error=False)
-    num_points = len(points)
+    per_point = len(names)
     curve = []
     for row, point in enumerate(points):
-        per_point = {
-            name: stats[col * num_points + row]
-            for col, name in enumerate(names)
-        }
-        curve.append((point, mean_ipc(per_point)))
+        chunk = stats[row * per_point:(row + 1) * per_point]
+        curve.append((point, mean_ipc(dict(zip(names, chunk)))))
     return curve

@@ -105,8 +105,7 @@ class MachineConfig:
     # memory hierarchy toggles and latencies (Table 1: Memory). The
     # latencies feed HierarchyConfig; raising memory_latency moves a
     # memory-resident workload deeper into the stall-dominated regime
-    # (the paper's mcf-like points, and the regime the event-driven
-    # core's dead-cycle skipping targets).
+    # (the paper's mcf-like points).
     model_memory: bool = True
     model_icache: bool = True
     l2_latency: int = 12
@@ -208,48 +207,6 @@ class MachineConfig:
         """SHA-256 hex digest of :meth:`config_key`."""
         payload = json.dumps(self.config_key(), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def frontend_key(self) -> tuple[tuple[str, object], ...]:
-        """Identity of everything *except* the register-storage scheme.
-
-        Two configs with equal frontend keys drive the front end, the
-        memory hierarchy, and the trace identically — they differ only
-        in how register values are stored and read. The experiment
-        engine batches such configs onto one worker so they share one
-        trace decode, one ``trace.analysis()`` pass, and one
-        precomputed branch-prediction plan (the predictors are
-        trace-order-driven, so their decisions are storage-independent;
-        see :func:`repro.frontend.fetch.branch_plan_for`).
-        """
-        return tuple(
-            item for item in self.config_key()
-            if item[0] not in _STORAGE_FIELDS
-        )
-
-
-#: MachineConfig fields that only affect register-value storage (the
-#: schemes the paper compares) — excluded from ``frontend_key``.
-_STORAGE_FIELDS = frozenset({
-    "storage",
-    "rf_read_latency",
-    "rf_write_latency",
-    "cache_entries",
-    "cache_assoc",
-    "insertion",
-    "replacement",
-    "indexing",
-    "backing_read_latency",
-    "backing_write_latency",
-    "backing_read_ports",
-    "max_use",
-    "unknown_default",
-    "fill_default",
-    "pin_at_max",
-    "two_level_l1_extra",
-    "two_level_l2_latency",
-    "two_level_bandwidth",
-    "two_level_free_threshold",
-})
 
 
 def _normalize(value: object) -> object:

@@ -32,14 +32,11 @@ Timing rules (derivations in DESIGN.md §4):
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from heapq import heappop, heappush
 
 from repro.core.config import MachineConfig
-from repro.core.events import EventWheel
 from repro.core.stats import LifetimeRecord, SimStats
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.frontend.fetch import FrontEnd
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
@@ -146,20 +143,8 @@ class Pipeline:
         *,
         tracer=_FROM_ENV,
         metrics=_FROM_ENV,
-        core: str | None = None,
-        branch_plan: list[int] | None = None,
     ) -> None:
         config.validate()
-        if core is None:
-            core = os.environ.get("REPRO_SIM_CORE", "event").strip().lower()
-        if core not in ("cycle", "event"):
-            raise ConfigError(
-                f"REPRO_SIM_CORE must be 'cycle' or 'event', got {core!r}"
-            )
-        #: Which timing loop runs: "event" skips dead cycles via a
-        #: next-event horizon, "cycle" is the reference per-cycle loop.
-        #: Both produce bit-identical SimStats (DESIGN.md §10).
-        self.core = core
         self.trace = trace
         self.config = config
         self.stats = SimStats(benchmark=trace.name, scheme=config.storage)
@@ -254,7 +239,6 @@ class Pipeline:
             fetch_width=config.fetch_width,
             front_depth=config.front_depth,
             icache=_ICacheAdapter(icache) if icache else None,
-            branch_plan=branch_plan,
         )
 
         # Event queues: cycle -> payload list.
@@ -275,22 +259,9 @@ class Pipeline:
         #: seq -> issued _Op, populated when config.record_timing is set.
         self.issue_log: dict[int, _Op] = {}
 
-        # Event core state: the pending-event horizon (None selects the
-        # reference per-cycle loop) and the producer-state epoch backing
-        # the _earliest memo — bumped whenever any producer's exec_end
-        # changes, so an unchanged epoch proves a cached readiness bound
-        # is still exact.
-        self._horizon: EventWheel | None = (
-            EventWheel() if core == "event" else None
-        )
-        # Lazily drained event keys (fills + writebacks): these events
-        # only mutate storage state that later *processed* cycles read —
-        # they never unblock dispatch, issue, retirement, or fetch — so
-        # instead of waking the scheduler they are replayed in key order
-        # (with their original timestamps) at the top of the next cycle
-        # the scheduler processes for some other reason.
-        self._lazy_heap: list[int] = []
-        self._lazy_set: set[int] = set()
+        # Producer-state epoch backing the _earliest memo: bumped whenever
+        # any producer's exec_end changes, so an unchanged epoch proves a
+        # cached readiness bound is still exact.
         self._pepoch = 0
         self.earliest_memo_hits = 0
         self.earliest_memo_misses = 0
@@ -298,20 +269,7 @@ class Pipeline:
     # ------------------------------------------------------------------
 
     def run(self) -> SimStats:
-        """Simulate to completion and return the statistics.
-
-        Dispatches to the event-driven scheduler (default) or the
-        reference per-cycle loop, selected by ``REPRO_SIM_CORE`` or the
-        ``core=`` constructor argument. The two are bit-identical in
-        every statistic they produce (DESIGN.md §10); the event core
-        just skips the cycles in which nothing can happen.
-        """
-        if self._horizon is not None:
-            return self._run_event()
-        return self._run_cycle()
-
-    def _run_cycle(self) -> SimStats:
-        """Reference timing loop: tick every cycle.
+        """Simulate to completion, one cycle at a time (DESIGN.md §10).
 
         The loop body is the simulator's hottest code: every dict and
         attribute that is touched each cycle is hoisted into a local,
@@ -383,255 +341,6 @@ class Pipeline:
         self._finalize(cycle)
         return self.stats
 
-    def _run_event(self) -> SimStats:
-        """Event-driven timing loop: jump straight to the next event.
-
-        Processes exactly the cycles the reference loop would do work
-        in, in the same order, and jumps over the rest. After each
-        processed cycle the next wake-up is the minimum over (DESIGN.md
-        §10 derives why this set is sufficient):
-
-        * the pending-event horizon (fills, lookups, d-cache probes,
-          writebacks, resolves, ready groups, blocked cycles — pushed
-          into the :class:`EventWheel` at every insertion),
-        * the ROB head's earliest retirement cycle,
-        * ``cycle + 1`` when dispatch made progress (the front end may
-          supply more) or the two-level move engine has eligible moves,
-        * the rename-unblock cycle when dispatch was recovery-blocked,
-        * the front end's next fetch-progress cycle (needed for timing
-          whenever an i-cache shares the hierarchy with the data side;
-          otherwise only when dispatch went idle), and its head's
-          ready-at cycle when dispatch went idle.
-
-        Per-cycle stall counters for the skipped span are credited in
-        bulk: every skipped cycle inside a rename-recovery window is a
-        ``rename_stall_cycle``, and every cycle skipped while dispatch
-        was resource-stalled (and the stall cannot clear before the next
-        event) is a ``dispatch_stall_cycle`` — exactly what the
-        reference loop would have counted one cycle at a time.
-        """
-        total = len(self.trace.records)
-        config = self.config
-        max_cycles = config.max_cycles
-        fills = self._fills
-        lookups = self._lookups
-        dcache_events = self._dcache_events
-        writebacks = self._writebacks
-        resolves = self._resolves
-        blocked = self._blocked
-        ready = self._ready
-        two_level = self.two_level
-        frontend = self.frontend
-        stats = self.stats
-        rob = self.rob
-        retire_delay = config.retire_delay
-        horizon = self._horizon
-        horizon_push = horizon.push
-        horizon_next = horizon.next_after
-        next_fetch_time = frontend.next_fetch_time
-        next_head_ready = frontend.next_head_ready
-        frontend_probe = frontend.next_ready
-        # Fetch-progress cycles only shape timing when instruction
-        # fetches contend with data accesses in a shared hierarchy;
-        # without an i-cache, deferring queue fills is side-effect-free.
-        fetch_sync = frontend.icache is not None
-        process_fills = self._process_fills
-        process_lookups = self._process_lookups
-        process_dcache = self._process_dcache
-        process_writebacks = self._process_writebacks
-        process_resolves = self._process_resolves
-        retire = self._retire
-        issue = self._issue
-        dispatch = self._dispatch
-        lazy_heap = self._lazy_heap
-        lazy_set = self._lazy_set
-        cycle = 0
-        action = 0
-        retire_next = -1
-        tl_moved = 0
-        while self.retired < total:
-            if cycle >= max_cycles:
-                raise SimulationError(
-                    f"{self.trace.name}: exceeded {max_cycles} cycles "
-                    f"({self.retired}/{total} retired)"
-                )
-            self.cycle = cycle
-            # ``dirty`` flags anything that can free a dispatch resource
-            # (window slot, ROB entry, physical/L1 register, recovery
-            # state); while it stays False a resource-stalled dispatch
-            # would replay the exact same probe, so the call is skipped
-            # and its per-cycle stall accounting applied directly. The
-            # two-level move engine ticks *after* dispatch, so slots it
-            # freed last cycle dirty this one.
-            dirty = tl_moved > 0
-            # Replay skipped-over fills and writebacks in key order with
-            # their original timestamps. Between two processed cycles no
-            # state either event kind reads or writes can change (every
-            # reader/writer of storage state — lookups, retire-time
-            # frees, issue — runs only in processed cycles), so landing
-            # them here is indistinguishable from the reference loop
-            # having processed each key on time. A key equal to *cycle*
-            # is left to the in-order pops below so same-cycle ordering
-            # against lookups and retire stays exact.
-            while lazy_heap and lazy_heap[0] < cycle:
-                at = heappop(lazy_heap)
-                lazy_set.discard(at)
-                events = fills.pop(at, None)
-                if events is not None:
-                    process_fills(events, at)
-                events = writebacks.pop(at, None)
-                if events is not None:
-                    process_writebacks(events, at)
-            events = fills.pop(cycle, None)
-            if events is not None:
-                process_fills(events, cycle)
-            events = lookups.pop(cycle, None)
-            if events is not None:
-                process_lookups(events, cycle)
-            events = dcache_events.pop(cycle, None)
-            if events is not None:
-                process_dcache(events, cycle)
-            events = writebacks.pop(cycle, None)
-            if events is not None:
-                process_writebacks(events, cycle)
-            events = resolves.pop(cycle, None)
-            if events is not None:
-                process_resolves(events, cycle)
-                dirty = True
-            if 0 <= retire_next <= cycle:
-                # Before ``retire_next`` the head provably cannot retire
-                # (its exec_end only ever grows), so the call would be a
-                # no-op; -1 means the head has not issued yet and the
-                # refresh probe below re-arms the hint when it does.
-                before = self.retired
-                retire_next = retire(cycle)
-                if self.retired != before:
-                    dirty = True
-            group = ready.pop(cycle, None)
-            if blocked and cycle in blocked:
-                blocked.discard(cycle)
-                stats.issue_blocked_cycles += 1
-                if group:  # defer the whole group one cycle
-                    nxt = cycle + 1
-                    bucket = ready.get(nxt)
-                    if bucket is None:
-                        ready[nxt] = group
-                    else:
-                        bucket.extend(group)
-                    horizon_push(nxt)
-            elif group:
-                issue(group, cycle)
-                dirty = True
-            if (action == 2 or action == 4) and not dirty:
-                # Unchanged resource stall: the reference loop's dispatch
-                # would re-probe the same full queue, count one stall
-                # cycle, and change nothing else. The probe itself is
-                # kept when an i-cache shares the memory hierarchy so
-                # instruction fetch keeps issuing its accesses on the
-                # same cycles as the reference loop.
-                if fetch_sync:
-                    frontend_probe(cycle)
-                stats.dispatch_stall_cycles += 1
-                if action == 4:
-                    two_level.note_rename_stall()
-            else:
-                action = dispatch(cycle)
-            tl_moved = 0
-            if two_level is not None:
-                tl_moved = two_level.tick(cycle)
-            if self.retired >= total:
-                cycle += 1
-                break
-
-            # ---- next wake-up: min over everything that can happen ----
-            if retire_next < 0 and rob:
-                # The head may have issued *after* _retire ran this
-                # cycle (issue and dispatch come later in the cycle
-                # order); without this refresh its retirement would
-                # never be scheduled when no other event is pending.
-                head = rob[0]
-                if head.status == _ISSUED:
-                    eligible = head.exec_end + 1 + retire_delay
-                    retire_next = eligible if eligible > cycle else cycle + 1
-            wake = horizon_next(cycle)
-            if wake is None:
-                wake = max_cycles
-            if 0 <= retire_next < wake:
-                wake = retire_next
-            if action == 1 or action == 5:
-                # Dispatched a full width (1) or dispatched into a stall
-                # (5): more may be consumable immediately.
-                if cycle + 1 < wake:
-                    wake = cycle + 1
-            elif action == 3:  # recovery-blocked until a known cycle
-                bu = self._dispatch_blocked_until
-                if bu < wake:
-                    wake = bu
-            else:  # idle (0/6) or resource-stalled (2/4)
-                if fetch_sync or action == 0 or action == 6:
-                    fetch_at = next_fetch_time(cycle)
-                    if 0 <= fetch_at < wake:
-                        wake = fetch_at
-                if action == 0 or action == 6:
-                    head_at = next_head_ready(cycle)
-                    if 0 <= head_at < wake:
-                        wake = head_at
-            if two_level is not None and (
-                two_level.pending_moves()
-                # The move engine ran *after* dispatch stalled on L1
-                # allocation; the slots it just freed make dispatch
-                # possible next cycle.
-                or (action == 4 and tl_moved)
-            ):
-                if cycle + 1 < wake:
-                    wake = cycle + 1
-            if wake <= cycle:
-                wake = cycle + 1
-            elif wake > max_cycles:
-                wake = max_cycles
-            skipped = wake - cycle - 1
-            if skipped > 0:
-                if action == 3:
-                    # wake <= _dispatch_blocked_until: the whole span is
-                    # inside the recovery window.
-                    stats.rename_stall_cycles += skipped
-                elif action == 2:
-                    stats.dispatch_stall_cycles += skipped
-                elif action == 4:
-                    # Two-level L1 allocation stall: the reference loop
-                    # counts both a dispatch stall and a two-level
-                    # rename stall every such cycle.
-                    stats.dispatch_stall_cycles += skipped
-                    two_level.note_rename_stall(skipped)
-            cycle = wake
-
-        # Land any fills/writebacks the reference loop would still have
-        # processed before the final cycle (none should remain in
-        # practice — every writeback key is bounded by its op's retire
-        # cycle — but the drain keeps finalize-time storage statistics
-        # exact by construction rather than by argument).
-        while lazy_heap and lazy_heap[0] < cycle:
-            at = heappop(lazy_heap)
-            lazy_set.discard(at)
-            events = fills.pop(at, None)
-            if events is not None:
-                process_fills(events, at)
-            events = writebacks.pop(at, None)
-            if events is not None:
-                process_writebacks(events, at)
-        if blocked:
-            # Load-replay squash cycles the scheduler never had a reason
-            # to visit: the reference loop would have reached each one
-            # and counted it (processed ones were counted and discarded
-            # above).
-            final = cycle
-            stats.issue_blocked_cycles += sum(
-                1 for c in blocked if c < final
-            )
-            blocked.clear()
-        self._finalize(cycle)
-        return self.stats
-
     # ------------------------------------------------------------------
     # Event processing.
 
@@ -658,7 +367,6 @@ class Pipeline:
         pinfo = self.pinfo
         fills = self._fills
         stats = self.stats
-        horizon = self._horizon
         lookup = cache.lookup
         write_latency = backing.write_latency
         for op, preg, assigned_set in events:
@@ -688,12 +396,6 @@ class Pipeline:
                 fills[available] = [(preg, assigned_set)]
             else:
                 bucket.append((preg, assigned_set))
-            if horizon is not None:
-                # Fills only write the cache; drained lazily, no wake.
-                lazy_set = self._lazy_set
-                if available not in lazy_set:
-                    lazy_set.add(available)
-                    heappush(self._lazy_heap, available)
 
     def _process_dcache(self, events: list[_Op], now: int) -> None:
         # Probed the cycle after issue: strictly before the earliest
@@ -718,11 +420,6 @@ class Pipeline:
                 # Load-hit speculation replay: the squash loop contains
                 # the register read, so its cost scales with read latency.
                 stats.load_miss_replays += 1
-                # The squash cycles are deliberately NOT pushed into the
-                # event horizon: a blocked cycle with no ready group has
-                # no effect beyond its stall count, which the event loop
-                # credits lazily (groups push their own cycles, so any
-                # blocked cycle that must defer one is still processed).
                 detection = now + 3  # tag check, just before would-be data
                 for offset in range(read_latency):
                     blocked.add(detection + offset)
@@ -733,7 +430,6 @@ class Pipeline:
         rf = self.rf
         tracer = self.tracer
         writebacks = self._writebacks
-        horizon = self._horizon
         for op in events:
             requeue_at = op.exec_end + 1
             if requeue_at != now:
@@ -742,11 +438,6 @@ class Pipeline:
                     writebacks[requeue_at] = [op]
                 else:
                     bucket.append(op)
-                if horizon is not None:
-                    lazy_set = self._lazy_set
-                    if requeue_at not in lazy_set:
-                        lazy_set.add(requeue_at)
-                        heappush(self._lazy_heap, requeue_at)
                 continue
             preg = op.dest_preg
             info = pinfo[preg]
@@ -777,7 +468,6 @@ class Pipeline:
 
     def _process_resolves(self, events: list[_Op], now: int) -> None:
         resolves = self._resolves
-        horizon = self._horizon
         for op in events:
             requeue_at = op.exec_end + 1
             if requeue_at != now:
@@ -786,8 +476,6 @@ class Pipeline:
                     resolves[requeue_at] = [op]
                 else:
                     bucket.append(op)
-                if horizon is not None:
-                    horizon.push(requeue_at)
                 continue
             self.frontend.resume(now)
             self.stats.branch_mispredicts += 1
@@ -804,21 +492,11 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Retire.
 
-    def _retire(self, now: int) -> int:
-        """Retire eligible ROB-head ops; returns the event core's hint.
-
-        The return value is the earliest future cycle at which retire
-        could make further progress: ``-1`` when nothing can retire
-        until some other event happens first (empty ROB, or a head that
-        has not issued — its issue is already a pending event), the
-        head's earliest-retirement cycle when it has issued but is not
-        yet eligible, and ``now + 1`` when retirement stopped on a
-        same-cycle resource limit (width, store slots, store buffer).
-        The reference loop ignores the value.
-        """
+    def _retire(self, now: int) -> None:
+        """Retire eligible ROB-head ops, oldest first, up to the width."""
         rob = self.rob
         if not rob:
-            return -1
+            return
         config = self.config
         retire_width = config.retire_width
         retire_delay = config.retire_delay
@@ -846,13 +524,6 @@ class Pipeline:
             self.retired += 1
             if op.prev_preg >= 0:
                 free_preg(op.prev_preg, now)
-        if not rob:
-            return -1
-        head = rob[0]
-        if head.status != _ISSUED:
-            return -1
-        eligible_at = head.exec_end + 1 + retire_delay
-        return eligible_at if eligible_at > now else now + 1
 
     def _free_preg(self, preg: int, now: int) -> None:
         info = self.pinfo[preg]
@@ -890,8 +561,6 @@ class Pipeline:
             ready[when] = [op]
         else:
             bucket.append(op)
-        if self._horizon is not None:
-            self._horizon.push(when)
 
     def _issue(self, candidates: list[_Op], now: int) -> None:
         """Issue up to ``issue_width`` ready ops from this cycle's group.
@@ -927,7 +596,6 @@ class Pipeline:
             rf.write_latency - rf.read_latency if rf is not None else 1
         )
         ready = self._ready
-        horizon = self._horizon
         fu_used: dict[OpClass, int] = {}
         issued = 0
         do_issue = self._do_issue
@@ -940,8 +608,6 @@ class Pipeline:
                     ready[nxt] = leftovers
                 else:
                     bucket.extend(leftovers)
-                if horizon is not None:
-                    horizon.push(nxt)
                 break
             # Readiness-memo fast path: earliest_value is a sound lower
             # bound on this op's issue cycle (producer exec_end values
@@ -955,8 +621,6 @@ class Pipeline:
                     ready[when] = [op]
                 else:
                     bucket.append(op)
-                if horizon is not None:
-                    horizon.push(when)
                 continue
             kinds: list[int] = []
             kinds_append = kinds.append
@@ -1003,8 +667,6 @@ class Pipeline:
                     ready[when] = [op]
                 else:
                     bucket.append(op)
-                if horizon is not None:
-                    horizon.push(when)
                 continue
             op_class = op.dyn.op_class
             used = fu_used.get(op_class, 0)
@@ -1015,8 +677,6 @@ class Pipeline:
                     ready[nxt] = [op]
                 else:
                     bucket.append(op)
-                if horizon is not None:
-                    horizon.push(nxt)
                 continue
             fu_used[op_class] = used + 1
             issued += 1
@@ -1028,7 +688,6 @@ class Pipeline:
         cache = self.cache
         rf = self.rf
         two_level = self.two_level
-        horizon = self._horizon
         op.status = _ISSUED
         op.issue_time = now
         exec_start = now + 1 + self.read_latency
@@ -1067,8 +726,6 @@ class Pipeline:
                         lookups[nxt] = [(op, preg, assigned_set)]
                     else:
                         bucket.append((op, preg, assigned_set))
-                    if horizon is not None:
-                        horizon.push(nxt)
                 elif rf is not None:
                     rf.record_read()
                     stats.rf_reads += 1
@@ -1089,12 +746,6 @@ class Pipeline:
                 writebacks[wb_at] = [op]
             else:
                 bucket.append(op)
-            if horizon is not None:
-                # Writebacks are drained lazily (see _run_event): no wake.
-                lazy_set = self._lazy_set
-                if wb_at not in lazy_set:
-                    lazy_set.add(wb_at)
-                    heappush(self._lazy_heap, wb_at)
             waiters = dest_info.waiters
             if waiters:
                 bucket_op = self._bucket
@@ -1114,8 +765,6 @@ class Pipeline:
                 events[nxt] = [op]
             else:
                 bucket.append(op)
-            if horizon is not None:
-                horizon.push(nxt)
         if op.mispredicted:
             resolves = self._resolves
             at = exec_end + 1
@@ -1124,8 +773,6 @@ class Pipeline:
                 resolves[at] = [op]
             else:
                 bucket.append(op)
-            if horizon is not None:
-                horizon.push(at)
 
     def _earliest(self, op: _Op) -> int:
         """Earliest first-stage-bypass cycle over *op*'s issued producers.
@@ -1161,31 +808,12 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Dispatch.
 
-    def _dispatch(self, now: int) -> int:
-        """Dispatch up to the width; returns the event core's hint.
-
-        ``0`` — idle: nothing was dispatchable this cycle.
-        ``1`` — full width dispatched: more may be consumable next
-        cycle.
-        ``2`` — stalled: something was dispatchable but a resource
-        (window, ROB, physical registers) blocked it before anything
-        dispatched.
-        ``3`` — recovery-blocked until ``_dispatch_blocked_until``.
-        ``4`` — stalled on two-level L1 allocation specifically (like
-        ``2``, but each such cycle also counts a two-level rename
-        stall, which the event core must replicate for skipped spans).
-        ``5`` — dispatched some, then hit a resource stall (needs a
-        ``cycle + 1`` retry like ``1``, and counted one dispatch
-        stall).
-        ``6`` — dispatched everything consumable with budget to spare:
-        dispatch goes idle until the front end supplies more (same
-        wake-up rule as ``0``).
-        The reference loop ignores the value.
-        """
+    def _dispatch(self, now: int) -> None:
+        """Dispatch up to the width; a blocking resource counts a stall."""
         config = self.config
         if now < self._dispatch_blocked_until:
             self.stats.rename_stall_cycles += 1
-            return 3
+            return
         budget = config.dispatch_width
         window_size = config.window_size
         rob_size = config.rob_size
@@ -1197,8 +825,6 @@ class Pipeline:
         freelist = self.freelist
         rob = self.rob
         stalled = False
-        tl_stall = False
-        dispatched = False
         while budget > 0:
             if self.window_count >= window_size or len(rob) >= rob_size:
                 stalled = next_ready(now) is not None
@@ -1221,23 +847,15 @@ class Pipeline:
                             )
                         two_level.note_rename_stall()
                         stalled = True
-                        tl_stall = True
                         break
                 elif freelist.free_count <= self._wrongpath_reserved:
                     stalled = True
                     break
             pop_next()
             dispatch_one(fetched, now)
-            dispatched = True
             budget -= 1
         if stalled:
             self.stats.dispatch_stall_cycles += 1
-            if not dispatched:
-                return 4 if tl_stall else 2
-            return 5
-        if dispatched:
-            return 1 if budget == 0 else 6
-        return 0
 
     def _reserve_wrongpath(self) -> None:
         """Hold registers for the wrong-path renames a real front end

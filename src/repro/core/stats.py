@@ -8,13 +8,12 @@ use the compact :meth:`SimStats.to_dict` form, which flattens the
 potentially huge lifetime log into a single integer array instead of a
 list of objects; :meth:`SimStats.from_dict` reverses it exactly.
 
-``to_dict()`` is also the repo's *equality surface*: the per-cycle and
-event-driven timing cores (``REPRO_SIM_CORE``, DESIGN.md §10) and the
-engine's batched/unbatched sweep paths are required to produce
-``to_dict()``-equal payloads for the same (trace, config) — every field
-here, including the packed lifetime log, participates in that
-bit-identity contract, so adding a field means accounting for it in
-both cores.
+``to_dict()`` is also the repo's *equality surface*: the golden digests
+in ``tests/integration/golden_simstats.json`` are sha256 sums of its
+sorted-key JSON, so every field here, including the packed lifetime
+log, must come out bit-identical for the same (trace, config) across
+serial, parallel and cached runs and across refactors of the timing
+loop.
 """
 
 from __future__ import annotations

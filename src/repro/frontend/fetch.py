@@ -28,57 +28,6 @@ from repro.isa.instruction import LINK_REG
 from repro.vm.trace import DynamicInst, Trace
 
 
-#: Branch-plan codes, one per trace record: bit 0 = counts toward
-#: ``branches_seen`` (a conditional branch), bit 1 = mispredicted.
-_PLAN_COND = 1
-_PLAN_MISS = 2
-
-
-def branch_plan_for(trace: Trace) -> list[int]:
-    """Per-record branch outcomes for *trace*, memoized on the trace.
-
-    The front end's predictors (YAGS direction, RAS, cascading
-    indirect) are trained in trace order with no timing feedback, so
-    their hit/miss decisions depend only on the record sequence — not
-    on the machine configuration being simulated. Replaying them once
-    yields a plan that any number of configurations sharing the trace
-    can consume (:class:`FrontEnd` with ``branch_plan=``), skipping the
-    per-run prediction work while producing bit-identical fetch timing
-    and ``branches_seen`` / ``mispredicts`` counts.
-
-    The plan is cached on the trace object itself (in-process only; it
-    is derived data and deliberately kept out of the on-disk trace
-    cache, whose format stays prediction-agnostic).
-    """
-    plan = getattr(trace, "_branch_plan", None)
-    if plan is not None:
-        return plan
-    probe = FrontEnd.__new__(FrontEnd)
-    probe.direction = YagsPredictor()
-    probe.indirect = IndirectPredictor()
-    probe.ras = ReturnAddressStack()
-    probe.branches_seen = 0
-    probe.mispredicts = 0
-    plan = []
-    append = plan.append
-    predict = probe._predict
-    for dyn in trace.records:
-        if not dyn.is_branch:
-            append(0)
-            continue
-        seen = probe.branches_seen
-        correct = predict(dyn)
-        code = 0 if correct else _PLAN_MISS
-        if probe.branches_seen != seen:
-            code |= _PLAN_COND
-        append(code)
-    try:
-        trace._branch_plan = plan
-    except AttributeError:  # slotted/frozen trace: recompute per call
-        pass
-    return plan
-
-
 class FetchedInst:
     """A fetched instruction waiting for dispatch.
 
@@ -112,11 +61,6 @@ class FrontEnd:
             additional stall cycles for fetching the given line.
         line_insts: instructions per I-cache line (64-byte lines of
             4-byte instructions).
-        branch_plan: optional precomputed per-record branch outcomes
-            (:func:`branch_plan_for`); when given, the live predictors
-            are bypassed in favor of the plan's (identical) decisions,
-            so batched runs over one trace pay the prediction cost
-            once.
     """
 
     def __init__(
@@ -128,7 +72,6 @@ class FrontEnd:
         queue_capacity: int = 48,
         icache=None,
         line_insts: int = 16,
-        branch_plan: list[int] | None = None,
     ) -> None:
         self.records = trace.records
         self.fetch_width = fetch_width
@@ -137,7 +80,6 @@ class FrontEnd:
         self.icache = icache
         self.line_insts = line_insts
 
-        self.branch_plan = branch_plan
         self.direction = YagsPredictor()
         self.indirect = IndirectPredictor()
         self.ras = ReturnAddressStack()
@@ -206,39 +148,6 @@ class FrontEnd:
         """True if at least one instruction is dispatchable at *now*."""
         return self.next_ready(now) is not None
 
-    def next_fetch_time(self, now: int) -> int:
-        """Earliest cycle > *now* at which fetch could make progress.
-
-        Used by the event-driven core to wake at exactly the cycles the
-        per-cycle loop would have advanced fetch in (so shared-hierarchy
-        i-cache accesses happen in the same order relative to data
-        accesses). Returns ``-1`` when fetch cannot progress until some
-        pipeline event intervenes: stalled on a mispredicted branch
-        (resume() restarts it), trace exhausted, or queue full (dispatch
-        must drain it first).
-        """
-        if (
-            self._stalled_for_branch
-            or self._next_index >= len(self.records)
-            or len(self._queue) >= self.queue_capacity
-        ):
-            return -1
-        fetch_cycle = self._fetch_cycle
-        return fetch_cycle if fetch_cycle > now else now + 1
-
-    def next_head_ready(self, now: int) -> int:
-        """Cycle the queue head becomes dispatchable; ``-1`` if empty.
-
-        The event-driven core's wake-up bound for an idle dispatch
-        stage: before this cycle the reference loop's dispatch would
-        also have found nothing consumable.
-        """
-        queue = self._queue
-        if not queue:
-            return -1
-        ready_at = queue[0].ready_at
-        return ready_at if ready_at > now else now + 1
-
     def peek(self, now: int) -> FetchedInst | None:
         """Next dispatchable instruction without consuming it."""
         return self.next_ready(now)
@@ -272,7 +181,6 @@ class FrontEnd:
         last_line = self._last_line
         append = queue.append
         predict = self._predict
-        plan = self.branch_plan
         while next_index < total and queue_len < capacity \
                 and fetch_cycle <= now:
             dyn = records[next_index]
@@ -290,15 +198,7 @@ class FrontEnd:
             ends_block = False
             mispredicted = False
             if dyn.is_branch:
-                if plan is not None:
-                    code = plan[next_index - 1]
-                    if code & _PLAN_COND:
-                        self.branches_seen += 1
-                    if code & _PLAN_MISS:
-                        mispredicted = True
-                        self.mispredicts += 1
-                else:
-                    mispredicted = not predict(dyn)
+                mispredicted = not predict(dyn)
                 if dyn.taken or mispredicted:
                     ends_block = True
 

@@ -144,42 +144,3 @@ def summarize_manifest(records: list[dict]) -> dict:
         "wall_p95": round(percentile(walls, 0.95), 6),
         "failures": failures,
     }
-
-
-def completed_job_keys(
-    records: list[dict], sweep: str | None = None,
-) -> frozenset[str]:
-    """Cache keys of jobs a manifest records as successfully finished.
-
-    This is the resume set: a restarted sweep whose cache hit matches
-    one of these keys is *resuming* prior work rather than merely
-    enjoying memoization. Restricting to *sweep* narrows the set to one
-    sweep identity (the engine stamps every job record with the sweep
-    key of its batch).
-    """
-    keys = set()
-    for record in records:
-        if record.get("kind") != "job" or record.get("status") != "ok":
-            continue
-        if sweep is not None and record.get("sweep") != sweep:
-            continue
-        key = record.get("key")
-        if key:
-            keys.add(key)
-    return frozenset(keys)
-
-
-def checkpoint_events(
-    records: list[dict], sweep: str | None = None,
-) -> list[dict]:
-    """The ``checkpoint`` records of a manifest, oldest first.
-
-    The engine appends ``start`` when a batch begins executing,
-    ``interrupted`` when it unwinds on SIGINT/crash, and ``complete``
-    when it finishes — so an interrupted-then-resumed sweep reads as
-    ``start, interrupted, start, complete``.
-    """
-    events = [r for r in records if r.get("kind") == "checkpoint"]
-    if sweep is not None:
-        events = [r for r in events if r.get("sweep") == sweep]
-    return events

@@ -93,9 +93,9 @@ class TwoLevelRegisterFile:
         self._state[vid] = _IN_L1
         self._pending[vid] = 0
 
-    def note_rename_stall(self, cycles: int = 1) -> None:
-        """Account rename stall cycles caused by L1 exhaustion."""
-        self.rename_stall_cycles += cycles
+    def note_rename_stall(self) -> None:
+        """Account one rename stall cycle caused by L1 exhaustion."""
+        self.rename_stall_cycles += 1
 
     # ------------------------------------------------------------------
     # Liveness tracking (move eligibility).
@@ -135,23 +135,10 @@ class TwoLevelRegisterFile:
     # ------------------------------------------------------------------
     # Move engine.
 
-    def pending_moves(self) -> bool:
-        """True when the next :meth:`tick` could change any state.
-
-        The event-driven core may skip a cycle's tick only when this is
-        False: at or above the free threshold ``tick`` returns without
-        touching anything, and below it an empty eligibility queue means
-        there is nothing to move (the ``_recent_moves`` pruning a ticked
-        cycle would also do is deferred harmlessly — entries older than
-        the prune window already fail ``on_mispredict``'s much tighter
-        recovery-window filter).
-        """
-        return self.free_slots < self.free_threshold and bool(self._eligible)
-
-    def tick(self, now: int) -> int:
-        """Run one cycle of the move engine; returns values moved."""
+    def tick(self, now: int) -> None:
+        """Run one cycle of the move engine."""
         if self.free_slots >= self.free_threshold:
-            return 0
+            return
         moved = 0
         while moved < self.move_bandwidth and self._eligible:
             vid = self._eligible.popleft()
@@ -173,7 +160,6 @@ class TwoLevelRegisterFile:
             and self._recent_moves[0][0] < now - 4 * self.recovery_window
         ):
             self._recent_moves.popleft()
-        return moved
 
     # ------------------------------------------------------------------
     # Mis-speculation recovery.

@@ -55,15 +55,24 @@ class ReplaySummary:
 
 
 def replay_trace(trace: Trace) -> ReplaySummary:
-    """Replay *trace* in order and count the quantities every scheme conserves."""
+    """Replay *trace* in order and count the quantities every scheme conserves.
+
+    The machine starts with an empty rename map: a register that no
+    earlier record wrote holds initial architectural state, which gets
+    no physical register and is read from no storage under any scheme.
+    Only sources an earlier record defined count as operands.
+    """
     source_operands = 0
     dest_writes = 0
+    defined: set[int] = set()
     for inst in trace.records:
         source_operands += sum(
-            1 for s in inst.sources if s is not None and s >= 0
+            1 for s in inst.sources
+            if s is not None and s >= 0 and s in defined
         )
         if inst.dest is not None and inst.dest >= 0:
             dest_writes += 1
+            defined.add(inst.dest)
     return ReplaySummary(
         retired=len(trace.records),
         source_operands=source_operands,

@@ -27,7 +27,7 @@ from repro.core.config import (
 )
 from repro.core.pipeline import Pipeline
 from repro.errors import EngineError
-from repro.obs.manifest import checkpoint_events, read_manifest
+from repro.obs.manifest import read_manifest
 from repro.workloads.suite import load_trace
 
 SCALE = 0.06
@@ -282,7 +282,7 @@ def test_job_timeout_enforced_and_retried_serially(tmp_path, monkeypatch):
 
 
 def test_resume_accounts_for_previously_completed_jobs(tmp_path):
-    """A resumed sweep re-runs only the jobs the first run never did."""
+    """A rerun sweep re-runs only the jobs the first run never did."""
     done = [
         SimJob(config=use_based_config(), trace_name=name, scale=SCALE)
         for name in ("compress", "pointer_chase")
@@ -294,18 +294,24 @@ def test_resume_accounts_for_previously_completed_jobs(tmp_path):
     first.run(done)
     assert first.counters.executed == 2
 
-    second = ExperimentEngine(workers=1, cache_dir=tmp_path, resume=True)
+    second = ExperimentEngine(workers=1, cache_dir=tmp_path)
     results = second.run(done + [fresh])
     assert all(stats.retired > 0 for stats in results)
-    assert second.counters.resumed == 2
     assert second.counters.cache_hits == 2
     assert second.counters.executed == 1
 
-    # Both runs left start/complete checkpoint fences in the manifest.
-    events = checkpoint_events(read_manifest(second.manifest.path))
-    assert [e["event"] for e in events] == [
-        "start", "complete", "start", "complete",
+    # The manifest's job records show which jobs each run served from
+    # the cache: the rerun re-executed only the one the first never ran.
+    records = read_manifest(second.manifest.path)
+    jobs = [r for r in records if r["kind"] == "job"]
+    first_run, second_run = jobs[:2], jobs[2:]
+    assert [r["cached"] for r in first_run] == [False, False]
+    done_keys = {job.cache_key() for job in done}
+    assert {r["key"] for r in second_run if r["cached"]} == done_keys
+    assert [r["key"] for r in second_run if not r["cached"]] == [
+        fresh.cache_key(),
     ]
+    assert all(r["status"] == "ok" for r in jobs)
 
 
 @pytest.mark.smoke

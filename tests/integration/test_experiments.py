@@ -5,8 +5,14 @@ return a well-formed, renderable result whose content passes basic
 sanity checks.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.report import ExperimentResult, render
 
@@ -92,6 +98,27 @@ def test_cli_main_runs(capsys):
 def test_cli_main_rejects_unknown():
     from repro.analysis.experiments import main
     assert main(["figZZ"]) == 2
+
+
+def test_cli_module_runs_without_runpy_warning():
+    """``python -m repro.analysis.experiments`` must not pre-import itself.
+
+    If the package ``__init__`` imports the CLI module, runpy warns that
+    the module was found in ``sys.modules`` before execution; under
+    ``-W error::RuntimeWarning`` that warning is fatal.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.analysis.experiments", "nope"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_cli_main_no_args_usage():

@@ -9,7 +9,11 @@ from repro.core.config import (
     use_based_config,
 )
 from repro.core.pipeline import Pipeline
+from repro.isa.instruction import Instruction
+from repro.isa.opcodes import Opcode
+from repro.isa.program import Program
 from repro.testing import oracle
+from repro.vm.machine import Machine
 from repro.workloads.suite import load_trace
 
 SCALE = 0.06
@@ -35,6 +39,22 @@ class TestReplay:
             1 for inst in trace.records if inst.dest is not None
         )
         assert 0 < replay.dest_writes <= replay.retired
+
+    def test_replay_skips_initial_state_reads(self):
+        # r1 is read before any record writes it: initial architectural
+        # state, which no storage scheme reads. The second ADDI reads
+        # the renamed r1 and counts.
+        program = Program(instructions=[
+            Instruction(Opcode.ADDI, dest=1, src1=1, imm=0),
+            Instruction(Opcode.ADDI, dest=2, src1=1, imm=1),
+            Instruction(Opcode.HALT),
+        ], name="initial_reads")
+        trace = Machine(program).run()
+        assert oracle.replay_trace(trace).source_operands == 1
+        for config in (use_based_config(), monolithic_config(3),
+                       two_level_config()):
+            stats = _run(trace, config)
+            assert oracle.check_run(trace, stats) == []
 
 
 class TestValidateStats:

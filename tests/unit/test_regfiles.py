@@ -122,16 +122,19 @@ def test_move_requires_reassignment_and_no_pending():
     tl.allocate(1)
     tl.add_pending_consumer(1)
     tl.reassigned(1, now=0)
-    assert tl.tick(0) == 0  # pending consumer blocks the move
+    tl.tick(0)
+    assert tl.moves == 0  # pending consumer blocks the move
     tl.consumer_executed(1, now=1)
-    assert tl.tick(1) == 1
+    tl.tick(1)
+    assert tl.moves == 1
     assert tl.free_slots == 4
 
 
 def test_move_requires_reassignment():
     tl = TwoLevelRegisterFile(4, free_threshold=10)
     tl.allocate(1)
-    assert tl.tick(0) == 0  # not reassigned -> architecturally current
+    tl.tick(0)
+    assert tl.moves == 0  # not reassigned -> architecturally current
 
 
 def test_move_engine_respects_threshold():
@@ -140,7 +143,8 @@ def test_move_engine_respects_threshold():
         tl.allocate(vid)
         tl.reassigned(vid, now=0)
     # free_slots = 5 >= threshold 2: no moves performed.
-    assert tl.tick(0) == 0
+    tl.tick(0)
+    assert tl.moves == 0
 
 
 def test_move_bandwidth_limit():
@@ -148,8 +152,10 @@ def test_move_bandwidth_limit():
     for vid in range(6):
         tl.allocate(vid)
         tl.reassigned(vid, now=0)
-    assert tl.tick(0) == 2
-    assert tl.tick(1) == 2
+    tl.tick(0)
+    assert tl.moves == 2
+    tl.tick(1)
+    assert tl.moves == 4
 
 
 def test_free_after_move_does_not_double_credit():
@@ -190,6 +196,6 @@ def test_recovery_ignores_old_moves():
 
 def test_rename_stall_accounting():
     tl = TwoLevelRegisterFile(4)
-    tl.note_rename_stall()
-    tl.note_rename_stall(3)
+    for _ in range(4):
+        tl.note_rename_stall()
     assert tl.rename_stall_cycles == 4
