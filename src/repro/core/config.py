@@ -150,6 +150,9 @@ class MachineConfig:
             raise ConfigError("l2_latency must be >= 1")
         if self.memory_latency < self.l2_latency:
             raise ConfigError("memory_latency must be >= l2_latency")
+        if min(self.fetch_width, self.dispatch_width, self.issue_width,
+               self.retire_width) < 1:
+            raise ConfigError("pipeline widths must be >= 1")
 
     @property
     def read_latency(self) -> int:

@@ -45,7 +45,7 @@ from repro.obs.tracer import trace_file_for, tracer_from_env
 from repro.predict.degree_of_use import DegreeOfUsePredictor
 from repro.regfile.backing import BackingFile
 from repro.regfile.indexing import make_index_policy
-from repro.regfile.insertion import WriteContext, make_insertion_policy
+from repro.regfile.insertion import make_insertion_policy
 from repro.regfile.physical import PhysicalRegisterFile
 from repro.regfile.register_cache import RegisterCache
 from repro.regfile.replacement import make_replacement_policy
@@ -54,9 +54,6 @@ from repro.rename.freelist import FreeList
 from repro.rename.map_table import MapTable
 from repro.rename.renamer import Renamer
 from repro.vm.trace import Trace
-
-_WAITING = 0
-_ISSUED = 1
 
 #: Sentinel for "resolve from the environment" observability arguments.
 _FROM_ENV = object()
@@ -68,27 +65,40 @@ def _op_seq(op: "_Op") -> int:
 
 
 class _Op:
-    """One in-flight dynamic instruction."""
+    """One in-flight dynamic instruction and the value it produces.
+
+    A writing op is also the producer-side record of its destination
+    register: ``Pipeline.pinfo[dest_preg]`` is the op itself from rename
+    until the register is freed, so consumers read ``issued``,
+    ``exec_end`` and the use counters straight off their producer.
+    """
 
     __slots__ = (
         "seq", "dyn", "sources", "dest_preg", "dest_set", "prev_preg",
-        "pred_eff", "pinned", "predicted", "mispredicted",
-        "status", "issue_time", "exec_start", "exec_end", "unready",
+        "pred_eff", "pinned", "predicted", "mispredicted", "alloc_time",
+        "issued", "issue_time", "exec_start", "exec_end", "unready",
         "src_producer_seqs", "earliest_epoch", "earliest_value",
+        "bypass_first", "bypass_total", "uses_renamed", "last_read",
+        "waiters",
     )
 
-    def __init__(self, seq, dyn):
+    def __init__(
+        self, seq, dyn, sources, dest_preg, dest_set, prev_preg,
+        pred_eff, pinned, predicted, mispredicted, alloc_time,
+    ):
         self.seq = seq
         self.dyn = dyn
-        self.sources = ()
-        self.dest_preg = -1
-        self.dest_set = -1
-        self.prev_preg = -1
-        self.pred_eff = 0
-        self.pinned = False
-        self.predicted = None
-        self.mispredicted = False
-        self.status = _WAITING
+        #: Per-source ``(preg, cache_set)`` pairs from rename.
+        self.sources = sources
+        self.dest_preg = dest_preg
+        self.dest_set = dest_set
+        self.prev_preg = prev_preg
+        self.pred_eff = pred_eff
+        self.pinned = pinned
+        self.predicted = predicted
+        self.mispredicted = mispredicted
+        self.alloc_time = alloc_time
+        self.issued = False
         self.issue_time = -1
         self.exec_start = -1
         self.exec_end = -1
@@ -99,34 +109,13 @@ class _Op:
         # in (epoch equality means the bound is exact, see _earliest).
         self.earliest_epoch = -1
         self.earliest_value = 0
-
-
-class _PregInfo:
-    """Producer-side state of one physical-register allocation."""
-
-    __slots__ = (
-        "issued", "exec_end", "pc", "fcf", "pred_eff", "pinned",
-        "predicted", "assigned_set", "bypass_first", "bypass_total",
-        "uses_renamed", "alloc_time", "last_read", "waiters",
-        "producer_seq",
-    )
-
-    def __init__(self, pc: int, fcf: int, alloc_time: int) -> None:
-        self.issued = False
-        self.exec_end = -1
-        self.pc = pc
-        self.fcf = fcf
-        self.producer_seq = -1
-        self.pred_eff = 0
-        self.pinned = False
-        self.predicted = None
-        self.assigned_set = -1
+        # Producer-side state of the destination value.
         self.bypass_first = 0
         self.bypass_total = 0
         self.uses_renamed = 0
-        self.alloc_time = alloc_time
         self.last_read = -1
-        self.waiters: list[_Op] = []
+        #: Unissued consumers waiting on this value (None when empty).
+        self.waiters: list[_Op] | None = None
 
 
 class Pipeline:
@@ -166,10 +155,20 @@ class Pipeline:
             num_pregs = max(num_pregs, 1024)
         self.freelist = FreeList(num_pregs)
         self.map_table = MapTable()
-        self.pinfo: list[_PregInfo | None] = [None] * num_pregs
+        #: preg -> the op producing its current value (None when free).
+        self.pinfo: list[_Op | None] = [None] * num_pregs
 
         self.read_latency = config.read_latency
         self.bypass_stages = config.bypass_stages
+        # Configuration the per-instruction paths read, hoisted once.
+        self._unknown_default = config.unknown_default
+        self._max_use = config.max_use
+        self._pin_at_max = bool(config.pin_at_max)
+        self._record_timing = config.record_timing
+        #: Functional units per class in ``OpClass`` order, so indexed by
+        #: ``DynamicInst.op_class_id`` (a class missing from
+        #: ``fu_counts`` gets one unit).
+        self._fu_limit = [config.fu_counts.get(cls, 1) for cls in OpClass]
 
         # Storage scheme construction.
         self.cache: RegisterCache | None = None
@@ -212,6 +211,12 @@ class Pipeline:
                 move_bandwidth=config.two_level_bandwidth,
                 free_threshold=config.two_level_free_threshold,
             )
+        # Cycles from producer completion until storage can supply the
+        # operand: +1 for cache/L1, W - R for the monolithic file.
+        self._storage_delta = (
+            self.rf.write_latency - self.rf.read_latency
+            if self.rf is not None else 1
+        )
 
         self.renamer = Renamer(self.freelist, self.map_table, assign_set)
 
@@ -255,7 +260,6 @@ class Pipeline:
         self.retired = 0
         self._dispatch_blocked_until = 0
         self._wrongpath_reserved = 0
-        self.cycle = 0
         #: seq -> issued _Op, populated when config.record_timing is set.
         self.issue_log: dict[int, _Op] = {}
 
@@ -303,7 +307,6 @@ class Pipeline:
                     f"{self.trace.name}: exceeded {max_cycles} cycles "
                     f"({self.retired}/{total} retired)"
                 )
-            self.cycle = cycle
             events = fills.pop(cycle, None)
             if events is not None:
                 process_fills(events, cycle)
@@ -387,10 +390,7 @@ class Pipeline:
                 op.exec_start = available
                 op.exec_end = available + latency
                 if op.dest_preg >= 0:
-                    dest_info = pinfo[op.dest_preg]
-                    if dest_info is not None:
-                        dest_info.exec_end = op.exec_end
-                        self._pepoch += 1
+                    self._pepoch += 1
             bucket = fills.get(available)
             if bucket is None:
                 fills[available] = [(preg, assigned_set)]
@@ -403,7 +403,6 @@ class Pipeline:
         # schedule against a stale hit-assumed latency.
         memory = self.memory
         assert memory is not None
-        pinfo = self.pinfo
         stats = self.stats
         blocked = self._blocked
         load = memory.load
@@ -413,10 +412,7 @@ class Pipeline:
             if extra:
                 op.exec_end += extra
                 if op.dest_preg >= 0:
-                    dest_info = pinfo[op.dest_preg]
-                    if dest_info is not None:
-                        dest_info.exec_end = op.exec_end
-                        self._pepoch += 1
+                    self._pepoch += 1
                 # Load-hit speculation replay: the squash loop contains
                 # the register read, so its cost scales with read latency.
                 stats.load_miss_replays += 1
@@ -430,6 +426,9 @@ class Pipeline:
         rf = self.rf
         tracer = self.tracer
         writebacks = self._writebacks
+        if cache is not None:
+            record_write = self.backing.record_write
+            should_insert = self.insertion.should_insert
         for op in events:
             requeue_at = op.exec_end + 1
             if requeue_at != now:
@@ -440,8 +439,7 @@ class Pipeline:
                     bucket.append(op)
                 continue
             preg = op.dest_preg
-            info = pinfo[preg]
-            if info is None:  # pragma: no cover - freed before write
+            if pinfo[preg] is not op:  # pragma: no cover - freed before write
                 continue
             if tracer is not None:
                 tracer.emit(
@@ -449,17 +447,14 @@ class Pipeline:
                     args={"seq": op.seq, "preg": preg},
                 )
             if cache is not None:
-                self.backing.record_write()
-                ctx = WriteContext(
-                    pred_uses=op.pred_eff,
-                    bypassed_first_stage=info.bypass_first,
-                    pinned=op.pinned,
-                )
-                if self.insertion.should_insert(ctx):
-                    remaining = op.pred_eff - info.bypass_total
+                record_write()
+                pred_eff = op.pred_eff
+                pinned = op.pinned
+                if should_insert(pred_eff, op.bypass_first, pinned):
+                    remaining = pred_eff - op.bypass_total
                     cache.write(
                         preg, op.dest_set,
-                        remaining if remaining > 0 else 0, op.pinned, now,
+                        remaining if remaining > 0 else 0, pinned, now,
                     )
                 else:
                     cache.record_filtered_write(preg, now)
@@ -493,24 +488,35 @@ class Pipeline:
     # Retire.
 
     def _retire(self, now: int) -> None:
-        """Retire eligible ROB-head ops, oldest first, up to the width."""
+        """Retire eligible ROB-head ops, oldest first, up to the width.
+
+        Retiring an op frees the register its rename displaced: the
+        value's lifetime is logged, the predictor trains on its actual
+        degree of use, and its cache entry and set assignment are
+        released.
+        """
         rob = self.rob
         if not rob:
             return
         config = self.config
-        retire_width = config.retire_width
         retire_delay = config.retire_delay
+        op = rob[0]
+        if not op.issued or now <= op.exec_end + retire_delay:
+            return
+        retire_width = config.retire_width
         max_store_retire = config.max_store_retire
         memory = self.memory
-        free_preg = self._free_preg
+        pinfo = self.pinfo
+        lifetimes_append = self.stats.lifetimes.append
+        predictor = self.predictor
+        tracer = self.tracer
+        cache = self.cache
+        two_level = self.two_level
+        release = self.freelist.release
+        fcf = self.fcf
         retired_this = 0
         stores_this = 0
-        while rob and retired_this < retire_width:
-            op = rob[0]
-            if op.status != _ISSUED:
-                break
-            if now < op.exec_end + 1 + retire_delay:
-                break
+        while True:
             if op.dyn.is_store:
                 if stores_this >= max_store_retire:
                     break
@@ -521,58 +527,56 @@ class Pipeline:
                 stores_this += 1
             rob.popleft()
             retired_this += 1
-            self.retired += 1
-            if op.prev_preg >= 0:
-                free_preg(op.prev_preg, now)
-
-    def _free_preg(self, preg: int, now: int) -> None:
-        info = self.pinfo[preg]
-        if info is None:
-            raise SimulationError(f"freeing preg {preg} with no info")
-        write_time = info.exec_end + 1
-        last_read = max(info.last_read, write_time)
-        self.stats.lifetimes.append(
-            LifetimeRecord(info.alloc_time, write_time, last_read, now)
-        )
-        if self.predictor is not None:
-            self.predictor.train(info.pc, info.fcf, info.uses_renamed)
-            self.predictor.record_outcome(info.predicted, info.uses_renamed)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "dou_train", "predictor", now,
-                    args={"pc": info.pc, "actual": info.uses_renamed,
-                          "predicted": info.predicted},
-                )
-        if self.cache is not None:
-            self.cache.invalidate(preg, now)
-            self.index_policy.release(info.assigned_set, info.pred_eff)
-        if self.two_level is not None:
-            self.two_level.free(preg)
-        self.freelist.release(preg)
-        self.pinfo[preg] = None
+            preg = op.prev_preg
+            if preg >= 0:
+                info = pinfo[preg]
+                if info is None:
+                    raise SimulationError(f"freeing preg {preg} with no info")
+                write_time = info.exec_end + 1
+                last_read = info.last_read
+                lifetimes_append(LifetimeRecord(
+                    info.alloc_time, write_time,
+                    last_read if last_read > write_time else write_time, now,
+                ))
+                if predictor is not None:
+                    uses = info.uses_renamed
+                    predictor.train(info.dyn.pc, fcf[info.seq], uses)
+                    predictor.record_outcome(info.predicted, uses)
+                    if tracer is not None:
+                        tracer.emit(
+                            "dou_train", "predictor", now,
+                            args={"pc": info.dyn.pc, "actual": uses,
+                                  "predicted": info.predicted},
+                        )
+                if cache is not None:
+                    cache.invalidate(preg, now)
+                    self.index_policy.release(info.dest_set, info.pred_eff)
+                if two_level is not None:
+                    two_level.free(preg)
+                release(preg)
+                pinfo[preg] = None
+            if not rob or retired_this >= retire_width:
+                break
+            op = rob[0]
+            if not op.issued or now <= op.exec_end + retire_delay:
+                break
+        self.retired += retired_this
 
     # ------------------------------------------------------------------
     # Issue.
 
-    def _bucket(self, op: _Op, when: int) -> None:
-        ready = self._ready
-        bucket = ready.get(when)
-        if bucket is None:
-            ready[when] = [op]
-        else:
-            bucket.append(op)
-
     def _issue(self, candidates: list[_Op], now: int) -> None:
         """Issue up to ``issue_width`` ready ops from this cycle's group.
 
-        Operand classification (inlined in the source loop below for
+        Operand classification (inlined in the source loops below for
         speed): for a producer completing at ``exec_end``, a consumer
-        may issue from ``exec_end - read_latency`` (first-stage bypass,
-        kind 1), through the remaining bypass stages (kind 2), and from
-        storage (kind 3) once the value is written back — cache/L1 at
-        ``exec_end + 1``, monolithic file at ``exec_end + W - R`` with
-        read-during-write forwarding. Kind 0 = not ready yet; an
-        unissued (or freed) producer defers the consumer to ``now + 1``.
+        may issue from ``exec_end - read_latency`` (first-stage bypass),
+        through the remaining bypass stages, and from storage once the
+        value is written back — cache/L1 at ``exec_end + 1``, monolithic
+        file at ``exec_end + W - R`` with read-during-write forwarding.
+        An unissued (or freed) producer defers the consumer to
+        ``now + 1``. Issuing an op books its operand reads, schedules
+        its writeback, and wakes the consumers waiting on its value.
         """
         # Groups are usually appended in seq order already; only sort
         # when an out-of-order append actually happened.
@@ -583,25 +587,31 @@ class Pipeline:
                 candidates.sort(key=_op_seq)
                 break
             prev_seq = seq
-        config = self.config
-        issue_width = config.issue_width
-        fu_counts = config.fu_counts
+        issue_width = self.config.issue_width
+        fu_limit = self._fu_limit
+        fu_used = [0] * len(fu_limit)
         pinfo = self.pinfo
         read_latency = self.read_latency
         bypass_stages = self.bypass_stages
+        storage_delta = self._storage_delta
+        exec_offset = 1 + read_latency
+        stats = self.stats
+        cache = self.cache
         rf = self.rf
-        # Cycles from producer completion until storage can supply the
-        # operand: +1 for cache/L1, W - R for the monolithic file.
-        storage_delta = (
-            rf.write_latency - rf.read_latency if rf is not None else 1
-        )
+        two_level = self.two_level
+        tracer = self.tracer
+        issue_log = self.issue_log if self._record_timing else None
+        memory = self.memory
         ready = self._ready
-        fu_used: dict[OpClass, int] = {}
+        writebacks = self._writebacks
+        lookups = self._lookups
+        earliest_of = self._earliest
+        nxt = now + 1
         issued = 0
-        do_issue = self._do_issue
+        # Operand counts, folded into the stats once per call.
+        bypassed = bypassed_first = from_storage = 0
         for position, op in enumerate(candidates):
             if issued >= issue_width:
-                nxt = now + 1
                 bucket = ready.get(nxt)
                 leftovers = candidates[position:]
                 if bucket is None:
@@ -613,53 +623,41 @@ class Pipeline:
             # bound on this op's issue cycle (producer exec_end values
             # only ever grow), so a retry before it cannot succeed and
             # the source scan can be skipped entirely.
-            if now < op.earliest_value:
+            when = op.earliest_value
+            if now < when:
                 self.earliest_memo_hits += 1
-                when = op.earliest_value
                 bucket = ready.get(when)
                 if bucket is None:
                     ready[when] = [op]
                 else:
                     bucket.append(op)
                 continue
-            kinds: list[int] = []
-            kinds_append = kinds.append
-            next_time = now
-            is_ready = True
+            when = nxt
             for preg, _assigned in op.sources:
                 if preg < 0:
-                    kinds_append(-1)
                     continue
                 info = pinfo[preg]
                 if info is None or not info.issued:
                     # Producer not yet issued (waiters should prevent
                     # this) or already freed; not ready until next cycle.
-                    is_ready = False
-                    when = now + 1
-                    if when > next_time:
-                        next_time = when
                     break
                 exec_end = info.exec_end
                 earliest = exec_end - read_latency
                 if now < earliest:
-                    is_ready = False
-                    if earliest > next_time:
-                        next_time = earliest
+                    if earliest > when:
+                        when = earliest
                     break
                 if now < earliest + bypass_stages:
-                    kinds_append(1 if now == earliest else 2)
                     continue
                 storage_from = exec_end + storage_delta
-                if now >= storage_from:
-                    kinds_append(3)
-                    continue
-                is_ready = False
-                if storage_from > next_time:
-                    next_time = storage_from
-                break
-            if not is_ready:
+                if now < storage_from:
+                    if storage_from > when:
+                        when = storage_from
+                    break
+            else:
+                when = 0  # every operand is available now
+            if when:
                 self.earliest_memo_misses += 1
-                when = next_time if next_time > now + 1 else now + 1
                 op.earliest_value = when
                 op.earliest_epoch = self._pepoch
                 bucket = ready.get(when)
@@ -668,111 +666,99 @@ class Pipeline:
                 else:
                     bucket.append(op)
                 continue
-            op_class = op.dyn.op_class
-            used = fu_used.get(op_class, 0)
-            if used >= fu_counts.get(op_class, 1):
-                nxt = now + 1
+            dyn = op.dyn
+            class_id = dyn.op_class_id
+            used = fu_used[class_id]
+            if used >= fu_limit[class_id]:
                 bucket = ready.get(nxt)
                 if bucket is None:
                     ready[nxt] = [op]
                 else:
                     bucket.append(op)
                 continue
-            fu_used[op_class] = used + 1
+            fu_used[class_id] = used + 1
             issued += 1
-            do_issue(op, now, kinds)
 
-    def _do_issue(self, op: _Op, now: int, kinds: list[int]) -> None:
-        stats = self.stats
-        pinfo = self.pinfo
-        cache = self.cache
-        rf = self.rf
-        two_level = self.two_level
-        op.status = _ISSUED
-        op.issue_time = now
-        exec_start = now + 1 + self.read_latency
-        op.exec_start = exec_start
-        exec_end = exec_start + op.dyn.latency - 1
-        op.exec_end = exec_end
-        self.window_count -= 1
-        if self.config.record_timing:
-            self.issue_log[op.seq] = op
-        if self.tracer is not None:
-            self.tracer.emit(
-                "issue", "pipeline", now,
-                duration=max(1, exec_end - now),
-                args={"pc": op.dyn.pc, "seq": op.seq},
-            )
+            op.issued = True
+            op.issue_time = now
+            exec_start = now + exec_offset
+            op.exec_start = exec_start
+            exec_end = exec_start + dyn.latency - 1
+            op.exec_end = exec_end
+            if issue_log is not None:
+                issue_log[op.seq] = op
+            if tracer is not None:
+                tracer.emit(
+                    "issue", "pipeline", now,
+                    duration=max(1, exec_end - now),
+                    args={"pc": dyn.pc, "seq": op.seq},
+                )
+            for preg, assigned_set in op.sources:
+                if preg < 0:
+                    continue
+                info = pinfo[preg]
+                earliest = info.exec_end - read_latency
+                if now < earliest + bypass_stages:
+                    if now == earliest:
+                        info.bypass_first += 1
+                        bypassed_first += 1
+                    info.bypass_total += 1
+                    bypassed += 1
+                else:
+                    from_storage += 1
+                    if cache is not None:
+                        bucket = lookups.get(nxt)
+                        if bucket is None:
+                            lookups[nxt] = [(op, preg, assigned_set)]
+                        else:
+                            bucket.append((op, preg, assigned_set))
+                    elif rf is not None:
+                        rf.record_read()
+                        stats.rf_reads += 1
+                if info.last_read < exec_start:
+                    info.last_read = exec_start
+                if two_level is not None:
+                    two_level.consumer_executed(preg, now)
 
-        for (preg, assigned_set), kind in zip(op.sources, kinds):
-            if kind < 0:
-                continue
-            info = pinfo[preg]
-            if kind == 1:
-                info.bypass_first += 1
-                info.bypass_total += 1
-                stats.operands_bypass += 1
-                stats.operands_bypass_first += 1
-            elif kind == 2:
-                info.bypass_total += 1
-                stats.operands_bypass += 1
-            else:
-                stats.operands_storage += 1
-                if cache is not None:
-                    lookups = self._lookups
-                    nxt = now + 1
-                    bucket = lookups.get(nxt)
-                    if bucket is None:
-                        lookups[nxt] = [(op, preg, assigned_set)]
-                    else:
-                        bucket.append((op, preg, assigned_set))
-                elif rf is not None:
-                    rf.record_read()
-                    stats.rf_reads += 1
-            if info.last_read < exec_start:
-                info.last_read = exec_start
-            if two_level is not None:
-                two_level.consumer_executed(preg, now)
-
-        if op.dest_preg >= 0:
-            dest_info = pinfo[op.dest_preg]
-            dest_info.issued = True
-            dest_info.exec_end = exec_end
-            self._pepoch += 1
-            writebacks = self._writebacks
-            wb_at = exec_end + 1
-            bucket = writebacks.get(wb_at)
-            if bucket is None:
-                writebacks[wb_at] = [op]
-            else:
-                bucket.append(op)
-            waiters = dest_info.waiters
-            if waiters:
-                bucket_op = self._bucket
-                earliest_of = self._earliest
-                floor = now + 1
-                for waiter in waiters:
-                    waiter.unready -= 1
-                    if waiter.unready == 0:
-                        when = earliest_of(waiter)
-                        bucket_op(waiter, when if when > floor else floor)
-                dest_info.waiters = []
-        if op.dyn.is_load and self.memory is not None:
-            events = self._dcache_events
-            nxt = now + 1
-            bucket = events.get(nxt)
-            if bucket is None:
-                events[nxt] = [op]
-            else:
-                bucket.append(op)
-        if op.mispredicted:
-            resolves = self._resolves
-            at = exec_end + 1
-            bucket = resolves.get(at)
-            if bucket is None:
-                resolves[at] = [op]
-            else:
-                bucket.append(op)
+            if op.dest_preg >= 0:
+                self._pepoch += 1
+                wb_at = exec_end + 1
+                bucket = writebacks.get(wb_at)
+                if bucket is None:
+                    writebacks[wb_at] = [op]
+                else:
+                    bucket.append(op)
+                waiters = op.waiters
+                if waiters is not None:
+                    op.waiters = None
+                    for waiter in waiters:
+                        waiter.unready -= 1
+                        if waiter.unready == 0:
+                            when = earliest_of(waiter)
+                            if when < nxt:
+                                when = nxt
+                            bucket = ready.get(when)
+                            if bucket is None:
+                                ready[when] = [waiter]
+                            else:
+                                bucket.append(waiter)
+            if dyn.is_load and memory is not None:
+                bucket = self._dcache_events.get(nxt)
+                if bucket is None:
+                    self._dcache_events[nxt] = [op]
+                else:
+                    bucket.append(op)
+            if op.mispredicted:
+                at = exec_end + 1
+                bucket = self._resolves.get(at)
+                if bucket is None:
+                    self._resolves[at] = [op]
+                else:
+                    bucket.append(op)
+        self.window_count -= issued
+        stats.operands_bypass += bypassed
+        stats.operands_bypass_first += bypassed_first
+        stats.operands_storage += from_storage
 
     def _earliest(self, op: _Op) -> int:
         """Earliest first-stage-bypass cycle over *op*'s issued producers.
@@ -809,30 +795,50 @@ class Pipeline:
     # Dispatch.
 
     def _dispatch(self, now: int) -> None:
-        """Dispatch up to the width; a blocking resource counts a stall."""
-        config = self.config
+        """Dispatch up to the width; a blocking resource counts a stall.
+
+        Each dispatched instruction gets its degree-of-use prediction,
+        is renamed, becomes the producer record of its destination
+        register, and either waits on unissued producers or is bucketed
+        at its earliest issue cycle.
+        """
         if now < self._dispatch_blocked_until:
             self.stats.rename_stall_cycles += 1
             return
+        frontend = self.frontend
+        next_ready = frontend.next_ready
+        fetched = next_ready(now)
+        if fetched is None:
+            return
+        config = self.config
         budget = config.dispatch_width
         window_size = config.window_size
         rob_size = config.rob_size
-        frontend = self.frontend
-        next_ready = frontend.next_ready
         pop_next = frontend.pop_next
-        dispatch_one = self._dispatch_one
+        rename = self.renamer.rename
         two_level = self.two_level
         freelist = self.freelist
+        predictor = self.predictor
+        tracer = self.tracer
+        pinfo = self.pinfo
+        fcf = self.fcf
+        unknown_default = self._unknown_default
+        max_use = self._max_use
+        pin_at_max = self._pin_at_max
+        record_timing = self._record_timing
+        earliest_of = self._earliest
+        ready = self._ready
         rob = self.rob
+        rob_append = rob.append
+        window_count = self.window_count
+        floor = now + 1
         stalled = False
-        while budget > 0:
-            if self.window_count >= window_size or len(rob) >= rob_size:
-                stalled = next_ready(now) is not None
+        while True:
+            if window_count >= window_size or len(rob) >= rob_size:
+                stalled = True
                 break
-            fetched = next_ready(now)
-            if fetched is None:
-                break
-            if fetched.dyn.writes_register:
+            dyn = fetched.dyn
+            if dyn.dest is not None:
                 if two_level is not None:
                     if not two_level.can_allocate():
                         if not rob:
@@ -852,8 +858,98 @@ class Pipeline:
                     stalled = True
                     break
             pop_next()
-            dispatch_one(fetched, now)
+
+            seq = dyn.seq
+            mispredicted = fetched.mispredicted
+            if mispredicted:
+                self._reserve_wrongpath()
+            if tracer is not None:
+                tracer.emit(
+                    "fetch", "pipeline", fetched.ready_at,
+                    args={"pc": dyn.pc, "seq": seq},
+                )
+                tracer.emit(
+                    "rename", "pipeline", now,
+                    args={"pc": dyn.pc, "seq": seq},
+                )
+            predicted = None
+            pred_eff = 0
+            pinned = False
+            if dyn.dest is not None:
+                if predictor is not None:
+                    predicted = predictor.predict(dyn.pc, fcf[seq])
+                    if tracer is not None:
+                        tracer.emit(
+                            "dou_predict", "predictor", now,
+                            args={"pc": dyn.pc, "predicted": predicted},
+                        )
+                if predicted is None:
+                    pred_eff = (
+                        unknown_default if unknown_default < max_use
+                        else max_use
+                    )
+                else:
+                    pred_eff = predicted if predicted < max_use else max_use
+                    pinned = pin_at_max and pred_eff == max_use
+
+            sources, dest_preg, dest_set, prev_preg = rename(dyn, pred_eff)
+            op = _Op(
+                seq, dyn, sources, dest_preg, dest_set, prev_preg,
+                pred_eff, pinned, predicted, mispredicted, now,
+            )
+            if dest_preg >= 0:
+                pinfo[dest_preg] = op
+                if two_level is not None:
+                    two_level.allocate(dest_preg)
+            if prev_preg >= 0 and two_level is not None:
+                two_level.reassigned(prev_preg, now)
+
+            if record_timing:
+                op.src_producer_seqs = tuple(
+                    pinfo[preg].seq if preg >= 0 else -1
+                    for preg, _assigned in sources
+                )
+            unready = 0
+            for preg, _assigned in sources:
+                if preg < 0:
+                    continue
+                info = pinfo[preg]
+                info.uses_renamed += 1
+                if two_level is not None:
+                    two_level.add_pending_consumer(preg)
+                if not info.issued:
+                    waiters = info.waiters
+                    if waiters is None:
+                        info.waiters = [op]
+                    else:
+                        waiters.append(op)
+                    unready += 1
+            if unready:
+                op.unready = unready
+            else:
+                when = earliest_of(op)
+                if when < floor:
+                    when = floor
+                bucket = ready.get(when)
+                if bucket is None:
+                    ready[when] = [op]
+                else:
+                    bucket.append(op)
+            rob_append(op)
+            window_count += 1
+
             budget -= 1
+            if not budget:
+                break
+            # The cycle's last probe lets fetch refill the slots freed so
+            # far: the probe for the final budget slot, or the one below
+            # when dispatch stops early.
+            fetched = next_ready(now, budget == 1)
+            if fetched is None:
+                break
+        if budget and budget < config.dispatch_width:
+            next_ready(now, True)
+        self.window_count = window_count
         if stalled:
             self.stats.dispatch_stall_cycles += 1
 
@@ -875,95 +971,6 @@ class Pipeline:
         if self._wrongpath_reserved and self.two_level is not None:
             self.two_level.free_slots += self._wrongpath_reserved
         self._wrongpath_reserved = 0
-
-    def _dispatch_one(self, fetched, now: int) -> None:
-        dyn = fetched.dyn
-        op = _Op(dyn.seq, dyn)
-        mispredicted = fetched.mispredicted
-        op.mispredicted = mispredicted
-        if mispredicted:
-            self._reserve_wrongpath()
-
-        config = self.config
-        pinfo = self.pinfo
-        two_level = self.two_level
-        predictor = self.predictor
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                "fetch", "pipeline", fetched.ready_at,
-                args={"pc": dyn.pc, "seq": dyn.seq},
-            )
-            tracer.emit(
-                "rename", "pipeline", now,
-                args={"pc": dyn.pc, "seq": dyn.seq},
-            )
-        writes_register = dyn.writes_register
-        predicted = None
-        if predictor is not None and writes_register:
-            predicted = predictor.predict(dyn.pc, self.fcf[dyn.seq])
-            if tracer is not None:
-                tracer.emit(
-                    "dou_predict", "predictor", now,
-                    args={"pc": dyn.pc, "predicted": predicted},
-                )
-        if writes_register:
-            raw = predicted if predicted is not None else config.unknown_default
-            max_use = config.max_use
-            pred_eff = raw if raw < max_use else max_use
-            op.pred_eff = pred_eff
-            op.pinned = bool(
-                config.pin_at_max
-                and predicted is not None
-                and pred_eff == max_use
-            )
-        op.predicted = predicted
-
-        renamed = self.renamer.rename(dyn, op.pred_eff)
-        sources = renamed.sources
-        dest_preg = renamed.dest_preg
-        op.sources = sources
-        op.dest_preg = dest_preg
-        op.dest_set = renamed.dest_set
-        op.prev_preg = renamed.prev_preg
-
-        if dest_preg >= 0:
-            info = _PregInfo(dyn.pc, self.fcf[dyn.seq], now)
-            info.producer_seq = dyn.seq
-            info.pred_eff = op.pred_eff
-            info.pinned = op.pinned
-            info.predicted = predicted
-            info.assigned_set = op.dest_set
-            pinfo[dest_preg] = info
-            if two_level is not None:
-                two_level.allocate(dest_preg)
-        if renamed.prev_preg >= 0 and two_level is not None:
-            two_level.reassigned(renamed.prev_preg, now)
-
-        unready = 0
-        if config.record_timing:
-            op.src_producer_seqs = tuple(
-                pinfo[preg].producer_seq if preg >= 0 else -1
-                for preg, _assigned in sources
-            )
-        for preg, _assigned in sources:
-            if preg < 0:
-                continue
-            info = pinfo[preg]
-            info.uses_renamed += 1
-            if two_level is not None:
-                two_level.add_pending_consumer(preg)
-            if not info.issued:
-                info.waiters.append(op)
-                unready += 1
-        op.unready = unready
-        if unready == 0:
-            earliest = self._earliest(op)
-            floor = now + 1
-            self._bucket(op, earliest if earliest > floor else floor)
-
-        self.rob.append(op)
-        self.window_count += 1
 
     # ------------------------------------------------------------------
 
@@ -988,7 +995,7 @@ class Pipeline:
             stats.predictor_supplied = self.predictor.supplied
             stats.predictor_correct = self.predictor.correct
         # Close lifetime records for values still allocated at the end.
-        for preg, info in enumerate(self.pinfo):
+        for info in self.pinfo:
             if info is None or not info.issued:
                 continue
             write_time = info.exec_end + 1

@@ -90,6 +90,10 @@ class FrontEnd:
         self._slots_left = fetch_width
         self._stalled_for_branch = False
         self._last_line = -1
+        # Cycle of the last fill, and the cycle whose fill stopped on a
+        # full queue (see next_ready).
+        self._filled_at = -1
+        self._full_at = -1
 
         self.branches_seen = 0
         self.mispredicts = 0
@@ -107,6 +111,7 @@ class FrontEnd:
         takes effect at the start of ``cycle + 1``).
         """
         self._stalled_for_branch = False
+        self._filled_at = -1
         self._fetch_cycle = max(self._fetch_cycle, cycle + 1)
         self._slots_left = self.fetch_width
         self._last_line = -1
@@ -125,15 +130,26 @@ class FrontEnd:
             out.append(queue.popleft())
         return out
 
-    def next_ready(self, now: int) -> FetchedInst | None:
+    def next_ready(
+        self, now: int, refill: bool = False
+    ) -> FetchedInst | None:
         """Head of the queue if dispatchable at *now*, without consuming.
 
-        This is the dispatch stage's fast path: one fetch-ahead fill and
-        one queue probe per call. Consume the returned instruction with
+        This is the dispatch stage's fast path: fetch runs once, at the
+        first probe of each cycle. When it stops on a full queue, the
+        slots dispatch frees are refilled, in the same cycle, at the
+        probe that passes ``refill=True`` or that finds the queue empty.
+        Refilled instructions join the tail, behind every instruction
+        dispatch can still take this cycle, so batching the refill
+        fetches exactly what a refill before every probe would, in the
+        same order and cycle. Consume the returned instruction with
         :meth:`pop_next`.
         """
-        self._fill_queue(now)
         queue = self._queue
+        if now != self._filled_at or (
+            self._full_at == now and (refill or not queue)
+        ):
+            self._fill_queue(now)
         if queue:
             head = queue[0]
             if head.ready_at <= now:
@@ -144,35 +160,27 @@ class FrontEnd:
         """Consume the head instruction (after :meth:`next_ready`)."""
         return self._queue.popleft()
 
-    def peek_ready(self, now: int) -> bool:
-        """True if at least one instruction is dispatchable at *now*."""
-        return self.next_ready(now) is not None
-
-    def peek(self, now: int) -> FetchedInst | None:
-        """Next dispatchable instruction without consuming it."""
-        return self.next_ready(now)
-
     # ------------------------------------------------------------------
 
     def _fill_queue(self, now: int) -> None:
         """Fetch ahead until the queue is full or fetch passes *now*.
 
-        Runs once per dispatch-stage probe, so the whole fetch loop
-        works on locals and writes the front-end state back once.
+        The whole fetch loop works on locals and writes the front-end
+        state back once.
         """
+        self._filled_at = now
+        self._full_at = -1
         if self._stalled_for_branch:
             return
         records = self.records
         total = len(records)
         next_index = self._next_index
-        if next_index >= total:
+        fetch_cycle = self._fetch_cycle
+        if next_index >= total or fetch_cycle > now:
             return
         queue = self._queue
         capacity = self.queue_capacity
-        fetch_cycle = self._fetch_cycle
         queue_len = len(queue)
-        if fetch_cycle > now or queue_len >= capacity:
-            return
         fetch_width = self.fetch_width
         front_depth = self.front_depth
         line_insts = self.line_insts
@@ -215,6 +223,8 @@ class FrontEnd:
                 slots_left = fetch_width
                 if ends_block:
                     last_line = -1
+        if queue_len >= capacity:
+            self._full_at = now
         self._next_index = next_index
         self._fetch_cycle = fetch_cycle
         self._slots_left = slots_left

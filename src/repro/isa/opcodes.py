@@ -32,6 +32,11 @@ class OpClass(enum.Enum):
     SYSTEM = "system"
 
 
+#: Dense int id of each class (its position in :class:`OpClass`), so the
+#: issue stage counts functional units in a list instead of hashing enums.
+OP_CLASS_ID: dict[OpClass, int] = {cls: i for i, cls in enumerate(OpClass)}
+
+
 #: Execute latency (cycles) per functional-unit class, from Table 1.
 #: For loads this is the load-to-use latency on an L1 hit; the memory
 #: hierarchy adds additional cycles on misses.

@@ -54,24 +54,29 @@ class BackingFile:
         (paper §5.2 notes both delays), and must win a read port.
 
         Args:
-            earliest: first cycle the requester could start the read.
+            earliest: first cycle the requester could start the read;
+                must not decrease from one call to the next.
             value_written_at: cycle the producer's backing-file write
                 completes.
 
         Returns:
             Cycle at which the value is available to the requester.
         """
+        schedule = self._port_schedule
         start = max(earliest, value_written_at)
-        while self._port_schedule.get(start, 0) >= self.read_ports:
+        while schedule.get(start, 0) >= self.read_ports:
             start += 1
-        self._port_schedule[start] = self._port_schedule.get(start, 0) + 1
-        # Garbage-collect old slots occasionally to bound memory.
-        if len(self._port_schedule) > 4096:
-            horizon = start - 64
+        schedule[start] = schedule.get(start, 0) + 1
+        # Garbage-collect slots no later read can ask for. *earliest*
+        # never decreases between calls (the pipeline passes now + 1),
+        # so it is the horizon; *start* is not, because a read may wait
+        # far ahead for its producer's write while earlier slots are
+        # still pending.
+        if len(schedule) > 4096:
             self._port_schedule = {
                 cycle: count
-                for cycle, count in self._port_schedule.items()
-                if cycle >= horizon
+                for cycle, count in schedule.items()
+                if cycle >= earliest
             }
         self.reads += 1
         return start + self.read_latency

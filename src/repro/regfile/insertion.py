@@ -9,25 +9,6 @@ next-cycle consumers can affect the cache write decision").
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class WriteContext:
-    """Information available when the cache-write decision is made.
-
-    Attributes:
-        pred_uses: effective predicted degree of use (defaults already
-            applied).
-        bypassed_first_stage: number of consumers satisfied by the first
-            bypass stage before the write decision.
-        pinned: True when the prediction saturated at the maximum
-            representable count (such values are never filtered).
-    """
-
-    pred_uses: int
-    bypassed_first_stage: int
-    pinned: bool
 
 
 class InsertionPolicy(abc.ABC):
@@ -36,8 +17,19 @@ class InsertionPolicy(abc.ABC):
     name: str
 
     @abc.abstractmethod
-    def should_insert(self, ctx: WriteContext) -> bool:
-        """True when the value should be written into the cache."""
+    def should_insert(
+        self, pred_uses: int, bypassed_first_stage: int, pinned: bool
+    ) -> bool:
+        """True when the value should be written into the cache.
+
+        Args:
+            pred_uses: effective predicted degree of use (defaults
+                already applied).
+            bypassed_first_stage: consumers satisfied by the first
+                bypass stage before the write decision.
+            pinned: True when the prediction saturated at the maximum
+                representable count (such values are never filtered).
+        """
 
 
 class AlwaysInsert(InsertionPolicy):
@@ -45,7 +37,7 @@ class AlwaysInsert(InsertionPolicy):
 
     name = "always"
 
-    def should_insert(self, ctx: WriteContext) -> bool:
+    def should_insert(self, pred_uses, bypassed_first_stage, pinned):
         return True
 
 
@@ -60,8 +52,8 @@ class NonBypassInsert(InsertionPolicy):
 
     name = "non_bypass"
 
-    def should_insert(self, ctx: WriteContext) -> bool:
-        return ctx.bypassed_first_stage == 0
+    def should_insert(self, pred_uses, bypassed_first_stage, pinned):
+        return bypassed_first_stage == 0
 
 
 class UseBasedInsert(InsertionPolicy):
@@ -74,10 +66,8 @@ class UseBasedInsert(InsertionPolicy):
 
     name = "use_based"
 
-    def should_insert(self, ctx: WriteContext) -> bool:
-        if ctx.pinned:
-            return True
-        return ctx.pred_uses - ctx.bypassed_first_stage > 0
+    def should_insert(self, pred_uses, bypassed_first_stage, pinned):
+        return pinned or pred_uses - bypassed_first_stage > 0
 
 
 #: Registry used by configuration code.

@@ -2,39 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.rename.freelist import FreeList
 from repro.rename.map_table import MapTable
 from repro.vm.trace import DynamicInst
-
-
-@dataclass(slots=True)
-class RenamedOp:
-    """Rename-stage output for one dynamic instruction.
-
-    Attributes:
-        dyn: the dynamic instruction.
-        sources: per-source ``(preg, cache_set)`` pairs; sources whose
-            producing mapping was never defined (reads of preinitialized
-            environment registers) have ``preg == -1`` and are always
-            ready.
-        dest_preg: allocated destination physical register, or -1.
-        dest_set: register-cache set assigned by decoupled indexing, or
-            -1 under standard indexing / non-cache schemes.
-        prev_preg: physical register displaced from the map (freed when
-            this instruction retires), or -1.
-        pred_uses: predicted degree of use, or ``None`` when the
-            predictor had no confident prediction (the *unknown default*
-            applies downstream).
-    """
-
-    dyn: DynamicInst
-    sources: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-    dest_preg: int = -1
-    dest_set: int = -1
-    prev_preg: int = -1
-    pred_uses: int | None = None
 
 
 class Renamer:
@@ -58,43 +28,37 @@ class Renamer:
         self.map_table = map_table
         self.assign_set = assign_set
 
-    def can_rename(self, dyn: DynamicInst) -> bool:
-        """True when resources exist to rename *dyn* this cycle."""
-        return not dyn.writes_register or self.freelist.free_count > 0
-
-    def rename(self, dyn: DynamicInst, pred_uses: int | None) -> RenamedOp:
+    def rename(
+        self, dyn: DynamicInst, pred_uses: int
+    ) -> tuple[tuple[tuple[int, int], ...], int, int, int]:
         """Rename *dyn*, allocating a destination register if needed.
 
-        The caller must have checked :meth:`can_rename`; the underlying
-        freelist raises :class:`~repro.errors.RenameError` otherwise.
+        Returns ``(sources, dest_preg, dest_set, prev_preg)``:
+
+        * ``sources`` — per-source ``(preg, cache_set)`` pairs; a source
+          whose architectural register was never written (initial
+          state) is ``(-1, -1)`` and always ready;
+        * ``dest_preg`` — the allocated destination register, or -1;
+        * ``dest_set`` — the register-cache set assigned by decoupled
+          indexing from *pred_uses*, or -1 under standard indexing and
+          non-cache schemes;
+        * ``prev_preg`` — the register displaced from the map (freed
+          when *dyn* retires), or -1.
+
+        The caller must have checked that the freelist has a register
+        for a writing instruction; :meth:`FreeList.allocate` raises
+        :class:`~repro.errors.RenameError` otherwise.
         """
         map_table = self.map_table
-        lookup = map_table.lookup
-        sources = []
-        append = sources.append
-        for arch_src in dyn.sources:
-            mapping = lookup(arch_src)
-            if mapping is None:
-                append((-1, -1))
-            else:
-                append((mapping.preg, mapping.cache_set))
-
-        dest_preg = -1
-        dest_set = -1
-        prev_preg = -1
-        if dyn.writes_register:
-            dest_preg = self.freelist.allocate()
-            if self.assign_set is not None:
-                dest_set = self.assign_set(pred_uses)
-            displaced = map_table.define(dyn.dest, dest_preg, dest_set)
-            if displaced is not None:
-                prev_preg = displaced.preg
-
-        return RenamedOp(
-            dyn=dyn,
-            sources=tuple(sources),
-            dest_preg=dest_preg,
-            dest_set=dest_set,
-            prev_preg=prev_preg,
-            pred_uses=pred_uses,
+        preg_of = map_table.preg
+        set_of = map_table.cache_set
+        sources = tuple([(preg_of[arch], set_of[arch]) for arch in dyn.sources])
+        dest = dyn.dest
+        if dest is None:
+            return sources, -1, -1, -1
+        dest_preg = self.freelist.allocate()
+        assign_set = self.assign_set
+        dest_set = -1 if assign_set is None else assign_set(pred_uses)
+        return sources, dest_preg, dest_set, map_table.define(
+            dest, dest_preg, dest_set
         )

@@ -29,7 +29,7 @@ from array import array
 from collections.abc import Iterable, Iterator
 
 from repro.isa.instruction import NUM_ARCH_REGS, Instruction
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import OP_CLASS_ID, OpClass
 from repro.isa.program import Program
 
 #: Default number of future conditional-branch directions folded into
@@ -49,9 +49,9 @@ def static_meta(pc: int, inst: Instruction) -> tuple:
 
     Layout (consumed positionally by :meth:`DynamicInst.from_decoded`):
     ``(pc, inst, op_class, latency, dest, sources, is_branch,
-    is_conditional, is_indirect, is_load, is_store)`` where ``dest`` is
-    ``None`` for non-writing instructions and zero-register writes, and
-    ``sources`` has zero-register reads removed.
+    is_conditional, is_indirect, is_load, is_store, op_class_id)`` where
+    ``dest`` is ``None`` for non-writing instructions and zero-register
+    writes, and ``sources`` has zero-register reads removed.
     """
     spec = inst.spec
     return (
@@ -66,6 +66,7 @@ def static_meta(pc: int, inst: Instruction) -> tuple:
         spec.is_indirect,
         spec.is_load,
         spec.is_store,
+        OP_CLASS_ID[spec.op_class],
     )
 
 
@@ -77,6 +78,8 @@ class DynamicInst:
         pc: static instruction index.
         inst: the static :class:`Instruction`.
         op_class: functional-unit class (cached from the spec for speed).
+        op_class_id: ``OP_CLASS_ID[op_class]``, derived in-process (not
+            part of the packed trace format).
         latency: execute latency in cycles (before memory effects).
         dest: destination architectural register or ``None`` (writes to
             the zero register are represented as ``None``).
@@ -92,7 +95,7 @@ class DynamicInst:
     __slots__ = (
         "seq", "pc", "inst", "op_class", "latency", "dest", "sources",
         "is_branch", "is_conditional", "is_indirect", "is_load", "is_store",
-        "taken", "target", "mem_addr", "value",
+        "taken", "target", "mem_addr", "value", "op_class_id",
     )
 
     def __init__(
@@ -111,6 +114,7 @@ class DynamicInst:
         self.pc = pc
         self.inst = inst
         self.op_class = spec.op_class
+        self.op_class_id = OP_CLASS_ID[spec.op_class]
         self.latency = spec.latency
         self.dest = inst.dest if inst.writes_register() else None
         self.sources = tuple(s for s in inst.sources() if s != 0)
@@ -143,7 +147,8 @@ class DynamicInst:
         self = object.__new__(cls)
         (self.pc, self.inst, self.op_class, self.latency, self.dest,
          self.sources, self.is_branch, self.is_conditional,
-         self.is_indirect, self.is_load, self.is_store) = decoded
+         self.is_indirect, self.is_load, self.is_store,
+         self.op_class_id) = decoded
         self.seq = seq
         self.taken = taken
         self.target = target

@@ -80,6 +80,14 @@ def test_bad_max_use_rejected():
         MachineConfig(max_use=0).validate()
 
 
+@pytest.mark.parametrize(
+    "field", ["fetch_width", "dispatch_width", "issue_width", "retire_width"]
+)
+def test_zero_width_rejected(field):
+    with pytest.raises(ConfigError, match="widths"):
+        MachineConfig(**{field: 0}).validate()
+
+
 def test_negative_defaults_rejected():
     with pytest.raises(ConfigError):
         MachineConfig(unknown_default=-1).validate()

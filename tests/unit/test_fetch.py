@@ -1,5 +1,8 @@
 """Unit tests for the trace-driven front end."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.frontend.fetch import FrontEnd
 from repro.isa.assembler import assemble
 from repro.vm.machine import run_program
@@ -109,9 +112,9 @@ def test_resume_restarts_fetch_after_cycle():
 
 def test_peek_does_not_consume():
     frontend, _ = make_frontend("nop\nhalt", front_depth=0)
-    first = frontend.peek(0)
+    first = frontend.next_ready(0)
     assert first is not None
-    again = frontend.peek(0)
+    again = frontend.next_ready(0)
     assert again is first
     pulled = frontend.pull(0, 1)
     assert pulled[0] is first
@@ -141,3 +144,122 @@ def test_icache_miss_stalls_fetch():
     # First instruction delayed by the 12-cycle icache miss.
     assert items[0][1] >= 12
     assert icache.calls >= 1
+
+
+def test_full_queue_refills_at_the_refill_probe():
+    # Fetch fills the queue at the cycle's first probe; slots freed by
+    # pops are refilled at the probe that asks for it, in the same cycle.
+    source = "\n".join(["nop"] * 20) + "\nhalt"
+    frontend, trace = make_frontend(source, front_depth=0, queue_capacity=4)
+    head = frontend.next_ready(0)
+    assert len(frontend._queue) == 4
+    for _ in range(3):
+        assert frontend.pop_next() is head
+        head = frontend.next_ready(0)
+    assert len(frontend._queue) == 1
+    assert frontend.next_ready(0, refill=True) is head
+    assert [f.dyn for f in frontend._queue] == trace.records[3:7]
+
+
+def test_empty_queue_refills_at_any_probe():
+    source = "\n".join(["nop"] * 20) + "\nhalt"
+    frontend, trace = make_frontend(source, front_depth=0, queue_capacity=2)
+    frontend.next_ready(0)
+    frontend.pop_next()
+    frontend.pop_next()
+    assert frontend.next_ready(0).dyn is trace.records[2]
+
+
+def test_fill_runs_once_per_cycle_when_queue_has_room():
+    # An 8-wide fetch with room left stops because fetch passed *now*;
+    # no later probe in the same cycle fetches further.
+    source = "\n".join(["nop"] * 20) + "\nhalt"
+    frontend, _ = make_frontend(source, front_depth=0)
+    frontend.next_ready(0)
+    assert len(frontend._queue) == 8
+    frontend.pop_next()
+    frontend.next_ready(0, refill=True)
+    assert len(frontend._queue) == 7
+    frontend.next_ready(1)
+    assert len(frontend._queue) == 15
+
+
+_LOOP = """
+    addi r1, r0, 40
+loop:
+    addi r2, r2, 1
+    andi r3, r2, 1
+    beq r3, r0, skip
+    addi r4, r4, 1
+skip:
+    addi r1, r1, -1
+    bne r1, r0, loop
+    halt
+"""
+
+
+class _LoggingICache:
+    """Misses every third line; logs (cycle, line) of every access."""
+
+    def __init__(self):
+        self.now = 0
+        self.log = []
+
+    def access(self, line):
+        self.log.append((self.now, line))
+        return 3 if line % 3 == 0 else 0
+
+
+def _dispatch_trace(pops, width, batched):
+    """Drive a front end as the dispatch stage does. Each cycle takes up
+    to *width* instructions, stopping early after ``pops[cycle]`` (a
+    stand-in for a full window). *batched* uses the refill protocol of
+    ``Pipeline._dispatch``; otherwise fetch fills before every probe.
+    Returns what was dispatched and the icache access log."""
+    trace = run_program(assemble(_LOOP))
+    icache = _LoggingICache()
+    frontend = FrontEnd(trace, front_depth=2, queue_capacity=6,
+                        icache=icache, line_insts=2)
+    out = []
+    resume_at = {}
+    now = 0
+    while not frontend.exhausted() and now < 5000:
+        icache.now = now
+        if now in resume_at:
+            frontend.resume(resume_at.pop(now))
+        want = pops[now % len(pops)]
+        budget = width
+        fetched = frontend.next_ready(now)
+        if not batched:
+            frontend._fill_queue(now)
+        while fetched is not None and want:
+            frontend.pop_next()
+            out.append((now, fetched.dyn.seq, fetched.ready_at,
+                        fetched.mispredicted))
+            if fetched.mispredicted:
+                resume_at[now + 3] = now + 3
+            want -= 1
+            budget -= 1
+            if not budget:
+                break
+            if batched:
+                fetched = frontend.next_ready(now, budget == 1)
+            else:
+                frontend._fill_queue(now)
+                fetched = frontend.next_ready(now)
+        if batched and budget and budget < width:
+            frontend.next_ready(now, True)
+        now += 1
+    assert frontend.exhausted()
+    return out, icache.log
+
+
+@given(
+    pops=st.lists(st.integers(min_value=0, max_value=9), min_size=1,
+                  max_size=40).filter(any),
+    width=st.integers(min_value=1, max_value=9),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_refill_fetches_as_refill_before_every_probe(pops, width):
+    assert _dispatch_trace(pops, width, batched=True) == \
+        _dispatch_trace(pops, width, batched=False)

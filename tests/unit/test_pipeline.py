@@ -16,6 +16,7 @@ from repro.core.config import (
 from repro.core.pipeline import Pipeline
 from repro.errors import SimulationError
 from repro.isa.assembler import assemble
+from repro.isa.opcodes import OpClass
 from repro.vm.machine import run_program
 
 
@@ -87,6 +88,20 @@ def test_int_alu_pool_limits_issue():
     times = sorted(log[i].issue_time for i in range(7))
     assert times[5] == times[0]
     assert times[6] == times[0] + 1
+
+
+def test_class_missing_from_fu_counts_gets_one_unit():
+    # Four independent multiplies; fu_counts names every class but
+    # INT_MUL, so they issue one per cycle.
+    source = "\n".join(
+        f"mul r{i}, r0, r0" for i in range(1, 5)
+    ) + "\nhalt"
+    counts = dict(use_based_config().fu_counts)
+    del counts[OpClass.INT_MUL]
+    pipeline, _ = timed_pipeline(source, use_based_config(fu_counts=counts))
+    log = pipeline.issue_log
+    times = sorted(log[i].issue_time for i in range(4))
+    assert times == [times[0] + k for k in range(4)]
 
 
 def test_late_consumer_reads_storage_and_hits():

@@ -178,3 +178,13 @@ def test_max_cycles_guard():
     trace = load_trace("crc", scale=0.12)
     with pytest.raises(SimulationError, match="exceeded"):
         Pipeline(trace, use_based_config(max_cycles=10)).run()
+
+
+def test_record_timing_leaves_stats_unchanged():
+    trace = load_trace("crc", scale=0.05)
+    for config in (
+        use_based_config(), monolithic_config(), two_level_config(),
+    ):
+        plain = Pipeline(trace, config).run()
+        timed = Pipeline(trace, config.replace(record_timing=True)).run()
+        assert timed.to_dict() == plain.to_dict()

@@ -1,12 +1,13 @@
 """Unit tests for insertion and replacement policies."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.regfile.insertion import (
     AlwaysInsert,
     NonBypassInsert,
     UseBasedInsert,
-    WriteContext,
     make_insertion_policy,
 )
 from repro.regfile.register_cache import CacheEntry
@@ -18,8 +19,8 @@ from repro.regfile.replacement import (
 
 
 def ctx(pred=1, bypassed=0, pinned=False):
-    return WriteContext(pred_uses=pred, bypassed_first_stage=bypassed,
-                        pinned=pinned)
+    """``should_insert`` arguments: (pred_uses, bypassed_first_stage, pinned)."""
+    return pred, bypassed, pinned
 
 
 # ----------------------------------------------------------------------
@@ -28,27 +29,46 @@ def ctx(pred=1, bypassed=0, pinned=False):
 
 def test_always_insert():
     policy = AlwaysInsert()
-    assert policy.should_insert(ctx(pred=0, bypassed=5))
+    assert policy.should_insert(*ctx(pred=0, bypassed=5))
 
 
 def test_non_bypass_skips_any_bypassed():
     policy = NonBypassInsert()
-    assert policy.should_insert(ctx(pred=3, bypassed=0))
+    assert policy.should_insert(*ctx(pred=3, bypassed=0))
     # Even a multi-use value is filtered after one bypass — the paper's
     # criticism of the heuristic.
-    assert not policy.should_insert(ctx(pred=3, bypassed=1))
+    assert not policy.should_insert(*ctx(pred=3, bypassed=1))
 
 
 def test_use_based_inserts_remaining_uses():
     policy = UseBasedInsert()
-    assert policy.should_insert(ctx(pred=3, bypassed=1))
-    assert not policy.should_insert(ctx(pred=1, bypassed=1))
-    assert not policy.should_insert(ctx(pred=0, bypassed=0))
+    assert policy.should_insert(*ctx(pred=3, bypassed=1))
+    assert not policy.should_insert(*ctx(pred=1, bypassed=1))
+    assert not policy.should_insert(*ctx(pred=0, bypassed=0))
 
 
 def test_use_based_always_inserts_pinned():
     policy = UseBasedInsert()
-    assert policy.should_insert(ctx(pred=7, bypassed=7, pinned=True))
+    assert policy.should_insert(*ctx(pred=7, bypassed=7, pinned=True))
+
+
+@given(
+    pred=st.integers(min_value=0, max_value=7),
+    bypassed=st.integers(min_value=0, max_value=8),
+    pinned=st.booleans(),
+)
+def test_insertion_decisions_follow_section_3_1(pred, bypassed, pinned):
+    """Paper §3.1: LRU writes every value; Cruz et al.'s non-bypass
+    heuristic skips any value seen on the first bypass stage; use-based
+    skips a value only when first-stage consumers used up all of its
+    predicted uses, and never skips a pinned (saturated) value."""
+    assert make_insertion_policy("always").should_insert(
+        pred, bypassed, pinned) is True
+    assert make_insertion_policy("non_bypass").should_insert(
+        pred, bypassed, pinned) is (bypassed == 0)
+    remaining_uses = max(0, pred - bypassed)
+    assert make_insertion_policy("use_based").should_insert(
+        pred, bypassed, pinned) is (pinned or remaining_uses > 0)
 
 
 def test_insertion_registry():

@@ -75,6 +75,26 @@ def test_backing_two_ports_share_cycle():
     assert third == first + 1
 
 
+def test_backing_gc_keeps_pending_port_slots():
+    # 4096 reads book cycles 1..4096 on the single port. A read that
+    # waits for a write at cycle 100000 then grows the schedule past its
+    # collection limit; slots from the current cycle on are still
+    # pending, so a new read must not take cycle 10 a second time.
+    backing = BackingFile(read_latency=2, read_ports=1)
+    for _ in range(4096):
+        backing.schedule_read(1, 1)
+    backing.schedule_read(1, 100_000)
+    assert backing.schedule_read(1, 10) == 4097 + 2
+
+
+def test_backing_gc_drops_slots_before_earliest():
+    backing = BackingFile(read_latency=1, read_ports=1)
+    for cycle in range(5000):
+        backing.schedule_read(cycle, cycle)
+    assert len(backing._port_schedule) <= 4097
+    assert backing.schedule_read(5000, 0) == 5000 + 1
+
+
 def test_backing_counts_traffic():
     backing = BackingFile()
     backing.record_write()

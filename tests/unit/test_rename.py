@@ -82,49 +82,26 @@ def test_freelist_reserved_range():
 
 def test_map_table_define_and_lookup():
     table = MapTable()
-    assert table.lookup(5) is None
+    assert table.lookup(5) == (-1, -1)
     table.define(5, preg=100, cache_set=3)
-    mapping = table.lookup(5)
-    assert mapping.preg == 100 and mapping.cache_set == 3
+    assert table.lookup(5) == (100, 3)
 
 
 def test_map_table_define_returns_displaced():
     table = MapTable()
-    table.define(5, 100)
-    displaced = table.define(5, 101)
-    assert displaced.preg == 100
-
-
-def test_map_table_checkpoint_restore():
-    table = MapTable()
-    table.define(1, 10)
-    snapshot = table.checkpoint()
-    table.define(1, 20)
-    table.define(2, 30)
-    table.restore(snapshot)
-    assert table.lookup(1).preg == 10
-    assert table.lookup(2) is None
-
-
-def test_map_table_restore_size_mismatch():
-    table = MapTable()
-    with pytest.raises(RenameError):
-        table.restore((None,))
+    assert table.define(5, 100) == -1
+    assert table.define(5, 101) == 100
 
 
 def test_map_table_out_of_range():
     table = MapTable(num_arch_regs=8)
-    with pytest.raises(RenameError):
-        table.lookup(8)
-    with pytest.raises(RenameError):
-        table.define(-1, 0)
-
-
-def test_map_table_live_mappings():
-    table = MapTable()
-    table.define(1, 10)
-    table.define(2, 11)
-    assert {m.preg for m in table.live_mappings()} == {10, 11}
+    for arch_reg in (8, -1):
+        with pytest.raises(RenameError, match="out of range"):
+            table.lookup(arch_reg)
+        with pytest.raises(RenameError, match="out of range"):
+            table.define(arch_reg, 0)
+    # A rejected define leaves the map untouched.
+    assert table.preg == [-1] * 8 and table.cache_set == [-1] * 8
 
 
 # ----------------------------------------------------------------------
@@ -137,37 +114,34 @@ def _dyn(inst, seq=0):
 
 def test_renamer_allocates_dest_and_tracks_prev():
     renamer = Renamer(FreeList(16), MapTable())
-    first = renamer.rename(
-        _dyn(Instruction(Opcode.ADDI, dest=5, src1=0, imm=1)), None
+    _, first_dest, _, first_prev = renamer.rename(
+        _dyn(Instruction(Opcode.ADDI, dest=5, src1=0, imm=1)), 0
     )
-    assert first.dest_preg >= 0
-    assert first.prev_preg == -1
-    second = renamer.rename(
-        _dyn(Instruction(Opcode.ADDI, dest=5, src1=0, imm=2)), None
+    assert first_dest >= 0
+    assert first_prev == -1
+    _, _, _, second_prev = renamer.rename(
+        _dyn(Instruction(Opcode.ADDI, dest=5, src1=0, imm=2)), 0
     )
-    assert second.prev_preg == first.dest_preg
+    assert second_prev == first_dest
 
 
 def test_renamer_resolves_sources_through_map():
     renamer = Renamer(FreeList(16), MapTable())
-    producer = renamer.rename(
-        _dyn(Instruction(Opcode.ADDI, dest=3, src1=0, imm=1)), None
+    _, dest_preg, dest_set, _ = renamer.rename(
+        _dyn(Instruction(Opcode.ADDI, dest=3, src1=0, imm=1)), 0
     )
-    consumer = renamer.rename(
-        _dyn(Instruction(Opcode.ADD, dest=4, src1=3, src2=3)), None
+    sources, _, _, _ = renamer.rename(
+        _dyn(Instruction(Opcode.ADD, dest=4, src1=3, src2=3)), 0
     )
-    assert consumer.sources == (
-        (producer.dest_preg, producer.dest_set),
-        (producer.dest_preg, producer.dest_set),
-    )
+    assert sources == ((dest_preg, dest_set), (dest_preg, dest_set))
 
 
 def test_renamer_unmapped_source_is_free():
     renamer = Renamer(FreeList(16), MapTable())
-    op = renamer.rename(
-        _dyn(Instruction(Opcode.ADD, dest=4, src1=7, src2=8)), None
+    sources, _, _, _ = renamer.rename(
+        _dyn(Instruction(Opcode.ADD, dest=4, src1=7, src2=8)), 0
     )
-    assert op.sources == ((-1, -1), (-1, -1))
+    assert sources == ((-1, -1), (-1, -1))
 
 
 def test_renamer_uses_set_assignment():
@@ -178,30 +152,17 @@ def test_renamer_uses_set_assignment():
         return 9
 
     renamer = Renamer(FreeList(16), MapTable(), assign_set=assign)
-    op = renamer.rename(
+    _, _, dest_set, _ = renamer.rename(
         _dyn(Instruction(Opcode.ADDI, dest=3, src1=0, imm=1)), 4
     )
-    assert op.dest_set == 9
+    assert dest_set == 9
     assert assigned == [4]
 
 
 def test_renamer_no_dest_allocates_nothing():
     freelist = FreeList(16)
     renamer = Renamer(freelist, MapTable())
-    op = renamer.rename(
-        _dyn(Instruction(Opcode.SW, src1=1, src2=2, imm=0)), None
-    )
-    assert op.dest_preg == -1
+    assert renamer.rename(
+        _dyn(Instruction(Opcode.SW, src1=1, src2=2, imm=0)), 0
+    )[1:] == (-1, -1, -1)
     assert freelist.free_count == 16
-
-
-def test_renamer_can_rename_gates_on_freelist():
-    freelist = FreeList(1)
-    renamer = Renamer(freelist, MapTable())
-    dyn = _dyn(Instruction(Opcode.ADDI, dest=3, src1=0, imm=1))
-    assert renamer.can_rename(dyn)
-    renamer.rename(dyn, None)
-    assert not renamer.can_rename(dyn)
-    # Non-writing instructions are always renameable.
-    store = _dyn(Instruction(Opcode.SW, src1=1, src2=2, imm=0))
-    assert renamer.can_rename(store)
